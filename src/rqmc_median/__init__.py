@@ -11,6 +11,7 @@ from .digits import DigitVector, default_depth, expand, value
 from .estimators import (
     ReplicateBatch,
     average_estimator,
+    estimates,
     median_estimator,
     q_estimate,
     replicate_batch,
@@ -42,6 +43,7 @@ __all__ = [
     "builtin",
     "builtin_names",
     "default_depth",
+    "estimates",
     "expand",
     "is_net",
     "median_estimator",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stats
-from .estimators import q_estimate
+from .estimators import estimates
 from .integrands import builtin
 from .nets import is_net, van_der_corput_net
 from .scramble import (
@@ -80,14 +80,10 @@ class _RunContext:
             }
             self._cells[key] = cell
         if count > cell["have"]:
-            spec = ScramblerSpec(kind, base=2)
-            pts = van_der_corput_net(2, m)
-            new = {n: np.empty(count - cell["have"]) for n in cell["vals"]}
-            for j in range(cell["have"], count):
-                scrambled = apply_scrambler(pts, spec, RandomStream(cell["seed"], j))
-                for f in cell["funcs"]:
-                    new[f.name][j - cell["have"]] = q_estimate(f, scrambled)
-            cell["vals"] = {n: np.concatenate([cell["vals"][n], new[n]]) for n in cell["vals"]}
+            keys = [(cell["seed"], j) for j in range(cell["have"], count)]
+            new = estimates(cell["funcs"], ScramblerSpec(kind, base=2), m, keys)
+            cell["vals"] = {f.name: np.concatenate([cell["vals"][f.name], new[:, col]])
+                            for col, f in enumerate(cell["funcs"])}
             cell["have"] = count
         return {n: v[:count] for n, v in cell["vals"].items()}
 

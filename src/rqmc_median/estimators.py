@@ -1,8 +1,13 @@
-"""Single-net, average-of-replicates, and median-of-replicates estimators."""
+"""Single-net, average-of-replicates, and median-of-replicates estimators.
+
+`estimates` is the one replicate loop: every estimate in the library comes
+from it.
+"""
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +19,7 @@ from .scramble import RandomStream, ScramblerSpec, apply_scrambler
 __all__ = [
     "ReplicateBatch",
     "average_estimator",
+    "estimates",
     "median_estimator",
     "q_estimate",
     "replicate_batch",
@@ -43,7 +49,23 @@ class ReplicateBatch:
 def q_estimate(f: IntegrandSpec, pts: NetPoints) -> float:
     """Equal-weight average of f over the points, compensated summation."""
     vals = f.eval(pts.points)
-    return math.fsum(vals) / pts.n
+    return math.fsum(np.asarray(vals).tolist()) / pts.n
+
+
+def estimates(fs: Sequence[IntegrandSpec], spec: ScramblerSpec, m: int,
+              keys: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Single-net estimates, shape (len(keys), len(fs)).
+
+    Row j scrambles the (spec.base, m) van der Corput net with stream
+    keys[j] = (master_seed, stream_id) and averages every integrand over the
+    same points.
+    """
+    pts = van_der_corput_net(spec.base, m)
+    out = np.empty((len(keys), len(fs)))
+    for j, (seed, stream) in enumerate(keys):
+        scrambled = apply_scrambler(pts, spec, RandomStream(seed, stream))
+        out[j] = [q_estimate(f, scrambled) for f in fs]
+    return out
 
 
 def replicate_batch(f: IntegrandSpec, spec: ScramblerSpec, m: int, r: int,
@@ -51,12 +73,8 @@ def replicate_batch(f: IntegrandSpec, spec: ScramblerSpec, m: int, r: int,
     """r independent scrambled-net estimates, one stream per replicate."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    pts = van_der_corput_net(spec.base, m)
-    estimates = tuple(
-        q_estimate(f, apply_scrambler(pts, spec, RandomStream(master_seed, j)))
-        for j in range(r)
-    )
-    return ReplicateBatch(estimates, pts.n, r, spec, f.name, master_seed)
+    est = estimates([f], spec, m, [(master_seed, j) for j in range(r)])[:, 0]
+    return ReplicateBatch(tuple(est.tolist()), spec.base**m, r, spec, f.name, master_seed)
 
 
 def average_estimator(batch: ReplicateBatch) -> float:

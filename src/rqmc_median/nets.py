@@ -6,7 +6,7 @@ import functools
 
 import numpy as np
 
-from .digits import expand, int_digits
+from .digits import expand
 
 __all__ = ["NetPoints", "is_net", "stratum_indices", "van_der_corput_net"]
 
@@ -23,12 +23,14 @@ class NetPoints:
     Instances are treated as immutable: `points` is a read-only float64 array.
     Digit matrices at a requested depth are derived lazily and cached, using
     exact digits supplied by the constructing code when available (net
-    constructors and digit-level scramblers know their digits exactly and
-    never round-trip through floats).
+    constructors know their digits exactly and never round-trip through
+    floats).  Scramblers, which work on integer codes, pass each point's
+    exact stratum index instead.
     """
 
     def __init__(self, base: int, m: int, points: np.ndarray,
-                 exact_digits: np.ndarray | None = None):
+                 exact_digits: np.ndarray | None = None,
+                 strata: np.ndarray | None = None):
         if base < 2:
             raise ValueError(f"base must be >= 2, got {base}")
         if m < 0:
@@ -46,6 +48,12 @@ class NetPoints:
             exact_digits = np.ascontiguousarray(exact_digits, dtype=np.uint8)
             exact_digits.flags.writeable = False
         self._exact_digits = exact_digits
+        if strata is not None:
+            strata = np.ascontiguousarray(strata, dtype=np.int64)
+            if strata.shape != (n,):
+                raise ValueError(f"expected {n} strata, got shape {strata.shape}")
+            strata.flags.writeable = False
+        self._strata = strata
         self._digit_cache: dict[int, np.ndarray] = {}
         self._is_net: bool | None = None
 
@@ -90,28 +98,30 @@ def van_der_corput_net(base: int, m: int) -> NetPoints:
     n = base**m
     if n > _MAX_POINTS:
         raise ValueError(f"net size {base}**{m} exceeds the supported index range")
+    if base > 256 and m > 0:
+        raise ValueError(f"base-{base} digits do not fit the uint8 digit matrix")
     dig = np.empty((n, m), dtype=np.uint8)
-    pts = np.empty(n, dtype=np.float64)
-    for i in range(n):
-        row = int_digits(i, base, m)[::-1]
-        dig[i] = row
-        acc = 0
-        for d in row:
-            acc = acc * base + d
-        pts[i] = acc / n  # correctly rounded rational
+    quot = np.arange(n, dtype=np.int64)
+    acc = np.zeros(n, dtype=np.int64)
+    for k in range(m):  # digit k of the point is the k-th least significant digit of i
+        quot, dig[:, k] = np.divmod(quot, base)
+        acc = acc * base + dig[:, k]
+    pts = acc / n  # correctly rounded: acc and n are exact doubles below 2**53
     return NetPoints(base, m, pts, exact_digits=dig)
 
 
 def stratum_indices(pts: NetPoints) -> np.ndarray:
     """Stratum index floor(x * n) of each point, int64.
 
-    Nets that carry exact digits (constructed nets, digit-level scrambler
-    output) read the stratum off the first m digits, which is exact in every
+    Nets that carry exact strata (scrambler output) or exact digits
+    (constructed nets) read the stratum off them, which is exact in every
     base.  Float-only nets fall back to floor with a few ulps of upward
     slack, so a boundary point whose double rounded low still lands in its
     intended stratum; a point would need ~50 specific digits to be misread,
     which has probability ~2**-50 per point under any of the randomizations.
     """
+    if pts._strata is not None:
+        return pts._strata
     n = pts.n
     ed = pts._exact_digits
     if ed is not None and ed.shape[1] >= pts.m:

@@ -12,19 +12,29 @@ stream:
   entries, Toeplitz, or constant columns), optionally followed by an
   additive random digit shift.
 
+A scrambled point is held as a uint64 code k with x = k / b**depth.  The
+van der Corput net, which every estimator scrambles, has digits that are
+zero past position m and point i carries the digits of i, so the net grows
+b-fold per digit.  A linear scramble of it needs only the first m columns
+of its matrix (in base 2 each column packs into one word and the scramble
+is m rounds of XOR), and a nested scramble is a gather of permuted digits
+at fixed tree nodes followed by uniform tail digits.  Any other net is
+scrambled from its digit matrix.
+
 All scramblers preserve the net property exactly at digit level and are pure
 functions of (net, spec, stream): repeated calls give bit-identical output.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .digits import default_depth
-from .nets import NetPoints, is_net, stratum_indices
+from .nets import NetPoints, is_net, stratum_indices, van_der_corput_net
 
 __all__ = [
     "LINEAR_KINDS",
@@ -36,6 +46,8 @@ __all__ = [
     "scramble_linear",
     "scramble_nested",
 ]
+
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 class ScramblerKind(str, Enum):
@@ -67,11 +79,13 @@ class ScramblerSpec:
     """Which randomization to apply.
 
     `depth` is the number of digits carried through the scramble (default:
-    full double resolution for the base).  `shift` adds a uniform random
-    digit vector mod b after the matrix and applies to linear kinds only;
-    without it the point 0.0 is a fixed point of every linear map and the
-    one-point marginal is not uniform.  Linear kinds need a prime base so
-    the diagonal entries are invertible mod b.
+    full double resolution for the base); points are uint64 codes, so
+    base**depth must stay below 2**64, and digits are uint8, so the base is
+    at most 256.  `shift` adds a uniform random digit vector mod b after the
+    matrix and applies to linear kinds only; without it the point 0.0 is a
+    fixed point of every linear map and the one-point marginal is not
+    uniform.  Linear kinds need a prime base so the diagonal entries are
+    invertible mod b.
     """
 
     kind: ScramblerKind
@@ -81,10 +95,13 @@ class ScramblerSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", ScramblerKind(self.kind))
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
+        if not 2 <= self.base <= 256:
+            raise ValueError(f"base must be in 2..256 (digits are uint8), got {self.base}")
         if self.depth is not None and self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
+        if self.base ** self.resolved_depth() >= 1 << 64:
+            raise ValueError(f"base**depth = {self.base}**{self.resolved_depth()} "
+                             "does not fit a 64-bit point code")
         if self.kind in LINEAR_KINDS and not _is_prime(self.base):
             raise ValueError(
                 f"{self.kind.value} scrambling needs a prime base, got {self.base}"
@@ -117,15 +134,171 @@ class RandomStream:
         return np.random.default_rng(ss)
 
 
-def _digit_values(digmat: np.ndarray, base: int) -> np.ndarray:
-    """Map digit rows to reals: row -> sum_k row[k] * base**-(k+1).
+@functools.lru_cache(maxsize=64)
+def _layout(base: int, m: int) -> tuple[NetPoints, np.ndarray, np.ndarray, np.ndarray]:
+    """The (base, m) van der Corput net and its fixed index arrays, read-only.
 
-    For base 2 at depth <= 53 the dot product is exact (every partial sum of
-    distinct negative powers of two spans at most 53 bits).
+    Point i's first m digits are the base-b digits of i, least significant
+    first, so the net grows b-fold per digit: point i + a * b**k extends
+    point i < b**k by the digit a.  The nested tree has one node per digit
+    prefix, level-major and lexicographic within a level.  Returns the net;
+    `strata` (n,), the stratum of point i (its m digits read as an integer,
+    which is also the point in stratum i: the digit reversal is an
+    involution); `node_index` (n, m), the flat index into the row-wise
+    permuted tables of the entry that maps point i's digit k; and `tables`
+    (nodes, base), one identity row per node.
     """
-    depth = digmat.shape[1]
-    weights = np.power(float(base), -np.arange(1, depth + 1, dtype=np.float64))
-    return digmat.astype(np.float64) @ weights
+    strata = np.zeros(1, dtype=np.int64)
+    node_index = np.zeros((1, 0), dtype=np.intp)
+    first = 0  # first node of level k
+    for k in range(m):
+        digit = np.arange(base)[:, None]
+        entry = (first + strata) * base + digit  # (b, b**k): digit a of point i + a * b**k
+        node_index = np.column_stack([np.tile(node_index, (base, 1)), entry.ravel()])
+        strata = (strata * base + digit).ravel()
+        first += base**k
+    tables = np.tile(np.arange(base, dtype=np.uint8), (first, 1))
+    for arr in (strata, node_index, tables):
+        arr.flags.writeable = False
+    return van_der_corput_net(base, m), strata, node_index, tables
+
+
+def _codes(digits: np.ndarray, base: int) -> np.ndarray:
+    """uint64 codes sum_k digits[..., k] * base**(width-1-k) of digit rows.
+
+    In base 2 each row, right-aligned in 64 digits, packs into one word.
+    """
+    width = digits.shape[-1]
+    if base == 2:
+        rows = np.zeros(digits.shape[:-1] + (64,), dtype=np.uint8)
+        rows[..., 64 - width:] = digits
+        return np.packbits(rows, axis=-1).view(">u8")[..., 0].astype(np.uint64)
+    weights = base ** np.arange(width - 1, -1, -1, dtype=np.uint64)
+    return np.einsum("...k,k->...", digits.astype(np.uint64, copy=False), weights)
+
+
+def _unit(codes: np.ndarray, base: int, depth: int) -> np.ndarray:
+    """x = code / base**depth, clamped below 1 (odd-base doubles can round up to 1)."""
+    x = codes.astype(np.float64) / float(base**depth)
+    return np.minimum(x, _BELOW_ONE, out=x)
+
+
+def _nested_codes(base: int, m: int, depth: int, rng: np.random.Generator,
+                  digmat: np.ndarray | None) -> np.ndarray:
+    """One row-wise permutation of the stacked level tables (the draws of one
+    call per level, in level order), then the tail digits, one row per point.
+
+    Every length-m prefix of a net is unique to one point, so digits past
+    level m see each tree node exactly once and a permuted digit there is
+    simply a uniform digit: the tail draws supply those directly.  A net
+    other than the van der Corput net (`digmat`, its digit matrix) follows
+    the tree path of the van der Corput point with its first m digits.
+    """
+    _, strata, node_index, tables = _layout(base, m)
+    n, tail = base**m, depth - m
+    digits = np.empty((n, depth), dtype=np.uint8)
+    if m:
+        if digmat is not None:
+            prefix = digmat[:, :m].astype(np.int64) @ base ** np.arange(m - 1, -1, -1)
+            node_index = node_index[strata[prefix]]
+        digits[:, :m] = rng.permuted(tables, axis=1).ravel()[node_index]
+    if tail:
+        digits[:, m:] = rng.integers(0, base, size=(n, tail), dtype=np.uint8)
+    return _codes(digits, base)
+
+
+def _matrix_draws(kind: ScramblerKind, base: int, depth: int,
+                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
+    """The draws of one scrambling matrix mod base, in stream order.
+
+    Diagonal entries are uniform on {1, ..., b-1}; free entries uniform on
+    {0, ..., b-1}.  Draw order per family: matousek draws the diagonal then a
+    full square block, of which only the strictly-lower part is used; tezuka
+    draws its first column top-down; striped draws its column constants left
+    to right.  Returns the drawn vector and matousek's block.
+    """
+    if kind == ScramblerKind.MATOUSEK:
+        h = rng.integers(1, base, size=depth, dtype=np.int64)
+        return h, rng.integers(0, base, size=(depth, depth), dtype=np.int64)
+    if kind == ScramblerKind.TEZUKA:
+        col = np.empty(depth, dtype=np.int64)
+        col[0] = rng.integers(1, base)
+        if depth > 1:
+            col[1:] = rng.integers(0, base, size=depth - 1, dtype=np.int64)
+        return col, None
+    if kind == ScramblerKind.STRIPED:
+        return rng.integers(1, base, size=depth, dtype=np.int64), None
+    raise ValueError(f"{kind.value} is not a linear scrambling kind")
+
+
+def _matrix_columns(kind: ScramblerKind, vec: np.ndarray, block: np.ndarray | None,
+                    m: int) -> np.ndarray:
+    """First m columns (depth, m) of the lower-triangular matrix drawn as
+    `vec` (depth,) and, for matousek, `block` (depth, depth)."""
+    offset = np.arange(len(vec))[:, None] - np.arange(m)[None, :]  # row - column
+    if kind == ScramblerKind.MATOUSEK:
+        cols = np.where(offset > 0, block[:, :m], 0)
+        cols[np.arange(m), np.arange(m)] = vec[:m]
+        return cols
+    if kind == ScramblerKind.TEZUKA:  # constant along each diagonal
+        return np.where(offset >= 0, vec[np.maximum(offset, 0)], 0)
+    return np.where(offset >= 0, vec[None, :m], 0)  # striped: constant columns
+
+
+def _linear_codes(spec: ScramblerSpec, m: int, depth: int, rng: np.random.Generator,
+                  digmat: np.ndarray | None) -> np.ndarray:
+    """The matrix, then the shift; point i gets M a_i + shift mod b.
+
+    For the van der Corput net a_i holds the digits of i least significant
+    first, so the points double (base 2) or grow b-fold per digit: the
+    points with digit k of i equal to a add a times column k of M to the
+    points before them.  Any other net (`digmat`, its digit matrix) goes
+    through the whole matrix.
+    """
+    base = spec.base
+    vec, block = _matrix_draws(spec.kind, base, depth, rng)
+    shift = (rng.integers(0, base, size=depth, dtype=np.int64) if spec.shift
+             else np.zeros(depth, dtype=np.int64))
+    if digmat is not None:
+        matrix = _matrix_columns(spec.kind, vec, block, depth)
+        return _codes((digmat.astype(np.int64) @ matrix.T + shift) % base, base)
+    cols = _matrix_columns(spec.kind, vec, block, m)
+    if base == 2:
+        words = _codes(np.vstack([cols.T, shift]), base)  # the m columns, then the shift
+        codes = words[m:]
+        for k in range(m):
+            codes = np.concatenate([codes, codes ^ words[k]])
+        return codes
+    small = np.min_scalar_type(2 * base - 2)  # holds a digit, or the sum of two
+    digits = shift.astype(small)[None, :]
+    for k in range(m):
+        step = (np.arange(base)[:, None] * cols[:, k]) % base  # (a * column k) mod b, (b, depth)
+        total = digits[None, :, :] + step.astype(small)[:, None, :]
+        # mod b of a sum below 2b: subtracting b wraps around unless the sum is >= b
+        digits = np.minimum(total, total - base).reshape(-1, depth)
+    return _codes(digits, base)
+
+
+def _jittered_points(strata: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Place the point of stratum s at (s + u[s]) / n, clamped inside the stratum."""
+    n = len(strata)
+    x = (strata + u[strata]) / n
+    # (s + u)/n can round up onto the right edge when u is within an ulp of 1
+    right = (strata + 1.0) / n
+    return np.minimum(x, np.nextafter(right, 0.0))
+
+
+def _scrambled_codes(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> np.ndarray:
+    """Codes of one nested or linear scramble of a net in base spec.base."""
+    base, m = pts.base, pts.m
+    depth = spec.resolved_depth()
+    if depth < m:
+        raise ValueError(f"depth {depth} below m={m} would destroy the net property")
+    digmat = None if pts is _layout(base, m)[0] else pts.digits(depth)
+    rng = rs.generator()
+    if spec.kind == ScramblerKind.NESTED:
+        return _nested_codes(base, m, depth, rng, digmat)
+    return _linear_codes(spec, m, depth, rng, digmat)
 
 
 def _require_net(pts: NetPoints) -> None:
@@ -133,38 +306,20 @@ def _require_net(pts: NetPoints) -> None:
         raise ValueError("input points do not form a (0, m, 1)-net")
 
 
-def _nested_tables(rng: np.random.Generator, base: int, m: int) -> list[np.ndarray]:
-    """Permutation tables for digit levels 1..m, drawn level-major.
-
-    Table k (0-based) has one row per length-k digit prefix in lexicographic
-    order; each row is an independent uniform permutation of {0, ..., b-1}.
-    """
-    tables = []
-    for k in range(m):
-        tiled = np.tile(np.arange(base, dtype=np.uint8), (base**k, 1))
-        tables.append(rng.permuted(tiled, axis=1))
-    return tables
-
-
-def _apply_nested(digmat: np.ndarray, base: int, tables: list[np.ndarray],
-                  tail: np.ndarray | None) -> np.ndarray:
-    """Permute digits by prefix-keyed tables; overwrite digits past len(tables).
-
-    In a valid net every length-m prefix is unique to one point, so digits
-    past level m see each tree node exactly once and a permuted zero digit is
-    simply a uniform digit: `tail` supplies those draws directly.
-    """
-    n, depth = digmat.shape
-    m = len(tables)
-    out = np.empty_like(digmat)
-    prefix = np.zeros(n, dtype=np.int64)
-    for k in range(m):
-        col = digmat[:, k].astype(np.int64)
-        out[:, k] = tables[k][prefix, col]
-        prefix = prefix * base + col
-    if depth > m:
-        out[:, m:] = digmat[:, m:] if tail is None else tail
-    return out
+def _scramble_net(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> NetPoints:
+    """One scramble of one net; the output carries its exact strata."""
+    _require_net(pts)
+    base, m = pts.base, pts.m
+    if spec.kind == ScramblerKind.JITTERED:
+        vdc, strata = _layout(base, m)[:2]
+        if pts is not vdc:
+            strata = stratum_indices(pts)
+        u = rs.generator().random(pts.n)
+        return NetPoints(base, m, _jittered_points(strata, u), strata=strata)
+    depth = spec.resolved_depth()
+    codes = _scrambled_codes(pts, spec, rs)
+    strata = (codes // np.uint64(base ** (depth - m))).astype(np.int64)
+    return NetPoints(base, m, _unit(codes, base, depth), strata=strata)
 
 
 def scramble_nested(pts: NetPoints, rs: RandomStream, depth: int | None = None) -> NetPoints:
@@ -174,74 +329,12 @@ def scramble_nested(pts: NetPoints, rs: RandomStream, depth: int | None = None) 
     keyed by the point's first k-1 digits; points sharing a prefix share the
     permutation.  Output points keep the input index order.
     """
-    _require_net(pts)
-    base, m = pts.base, pts.m
-    if depth is None:
-        depth = default_depth(base)
-    if depth < m:
-        raise ValueError(f"depth {depth} below m={m} would destroy the net property")
-    digmat = pts.digits(depth)
-    rng = rs.generator()
-    tables = _nested_tables(rng, base, m)
-    tail = None
-    if depth > m:
-        tail = rng.integers(0, base, size=(pts.n, depth - m), dtype=np.uint8)
-    out = _apply_nested(digmat, base, tables, tail)
-    return NetPoints(base, m, _digit_values(out, base), exact_digits=out)
-
-
-def _jittered_points(pts: NetPoints, u: np.ndarray) -> np.ndarray:
-    """Place the point of stratum i at (i + u[i]) / n, clamped inside the stratum."""
-    n = pts.n
-    strata = stratum_indices(pts)
-    x = (strata + u[strata]) / n
-    # (i + u)/n can round up onto the right edge when u is within an ulp of 1
-    right = (strata + 1.0) / n
-    return np.minimum(x, np.nextafter(right, 0.0))
+    return _scramble_net(pts, ScramblerSpec(ScramblerKind.NESTED, pts.base, depth), rs)
 
 
 def scramble_jittered(pts: NetPoints, rs: RandomStream) -> NetPoints:
     """Jittered sampling: stratum i's point is redrawn uniformly on [i/n, (i+1)/n)."""
-    _require_net(pts)
-    u = rs.generator().random(pts.n)
-    return NetPoints(pts.base, pts.m, _jittered_points(pts, u))
-
-
-def _draw_matrix(kind: ScramblerKind, base: int, depth: int,
-                 rng: np.random.Generator) -> np.ndarray:
-    """One lower-triangular depth x depth scrambling matrix mod base.
-
-    Diagonal entries are uniform on {1, ..., b-1}; free entries uniform on
-    {0, ..., b-1}.  Draw order per family: matousek draws the diagonal then a
-    full square block, of which only the strictly-lower part is used; tezuka
-    draws its first column top-down; striped draws its column constants left
-    to right.
-    """
-    if kind == ScramblerKind.MATOUSEK:
-        h = rng.integers(1, base, size=depth, dtype=np.int64)
-        g = rng.integers(0, base, size=(depth, depth), dtype=np.int64)
-        return np.tril(g, -1) + np.diag(h)
-    if kind == ScramblerKind.TEZUKA:
-        col = np.empty(depth, dtype=np.int64)
-        col[0] = rng.integers(1, base)
-        if depth > 1:
-            col[1:] = rng.integers(0, base, size=depth - 1, dtype=np.int64)
-        offset = np.arange(depth)[:, None] - np.arange(depth)[None, :]
-        return np.where(offset >= 0, col[np.clip(offset, 0, depth - 1)], 0)
-    if kind == ScramblerKind.STRIPED:
-        h = rng.integers(1, base, size=depth, dtype=np.int64)
-        return np.tril(np.broadcast_to(h, (depth, depth)))
-    raise ValueError(f"{kind.value} is not a linear scrambling kind")
-
-
-def _apply_linear(digmat: np.ndarray, base: int, matrix: np.ndarray,
-                  shift: np.ndarray | None) -> np.ndarray:
-    """x = (M a + shift) mod b applied to every digit row."""
-    prod = digmat.astype(np.float64) @ matrix.T.astype(np.float64)  # exact small ints
-    out = prod.astype(np.int64)
-    if shift is not None:
-        out += shift
-    return (out % base).astype(np.uint8)
+    return _scramble_net(pts, ScramblerSpec(ScramblerKind.JITTERED, pts.base), rs)
 
 
 def scramble_linear(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> NetPoints:
@@ -255,21 +348,11 @@ def scramble_linear(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> Ne
         raise ValueError(f"{spec.kind.value} is not a linear scrambling kind")
     if spec.base != pts.base:
         raise ValueError(f"spec base {spec.base} does not match net base {pts.base}")
-    _require_net(pts)
-    base, m = pts.base, pts.m
-    depth = spec.resolved_depth()
-    if depth < m:
-        raise ValueError(f"depth {depth} below m={m} would destroy the net property")
-    digmat = pts.digits(depth)
-    rng = rs.generator()
-    matrix = _draw_matrix(spec.kind, base, depth, rng)
-    shift = rng.integers(0, base, size=depth, dtype=np.int64) if spec.shift else None
-    out = _apply_linear(digmat, base, matrix, shift)
-    return NetPoints(base, m, _digit_values(out, base), exact_digits=out)
+    return _scramble_net(pts, spec, rs)
 
 
 def apply_scrambler(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> NetPoints:
-    """Dispatch on spec.kind; the single entry point used by the estimators."""
+    """Dispatch on spec.kind: one scramble of one net."""
     if spec.kind == ScramblerKind.NESTED:
         return scramble_nested(pts, rs, spec.depth)
     if spec.kind == ScramblerKind.JITTERED:

@@ -15,7 +15,8 @@ STRIPED_NOTE = (
     "couples the points antithetically (for n=2, f(x)=x the estimate is "
     "exactly 1/2 with zero variance).  Measured striped variance sits near "
     "0.5% of sigma^2/n^3, far outside the 5%/10% windows; the other kinds "
-    "agree with theory and each other.  See notes/decisions.md."
+    "agree with theory and each other.  See the criterion 2 paragraph under "
+    "\"Acceptance status\" in README.md."
 )
 
 

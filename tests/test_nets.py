@@ -59,6 +59,8 @@ def test_netpoints_validates_count():
 def test_net_size_guard():
     with pytest.raises(ValueError):
         van_der_corput_net(2, 63)
+    with pytest.raises(ValueError):  # digits are uint8
+        van_der_corput_net(257, 1)
 
 
 def test_points_are_read_only():

@@ -1,19 +1,29 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rqmc_median.nets import NetPoints, is_net, van_der_corput_net
+from scramble_reference import (
+    _apply_linear,
+    _apply_nested,
+    _digit_values,
+    _draw_matrix,
+    reference_digits,
+    reference_points,
+)
+
+from rqmc_median.digits import default_depth
+from rqmc_median.nets import NetPoints, is_net, stratum_indices, van_der_corput_net
 from rqmc_median.scramble import (
     LINEAR_KINDS,
     RandomStream,
     ScramblerKind,
     ScramblerSpec,
-    _apply_linear,
-    _apply_nested,
-    _digit_values,
-    _draw_matrix,
     _jittered_points,
+    _scrambled_codes,
+    _unit,
     apply_scrambler,
     scramble_jittered,
     scramble_linear,
@@ -68,10 +78,10 @@ def test_nested_rejects_non_net_input():
 
 def test_jittered_degenerate_streams():
     net = van_der_corput_net(2, 2)
-    left = _jittered_points(net, np.zeros(4))
+    left = _jittered_points(stratum_indices(net), np.zeros(4))
     # stratum order of the radical-inverse net is (0, 2, 1, 3)
     assert left.tolist() == [0.0, 0.5, 0.25, 0.75]
-    mid = _jittered_points(net, np.full(4, 0.5))
+    mid = _jittered_points(stratum_indices(net), np.full(4, 0.5))
     assert sorted(mid.tolist()) == [0.125, 0.375, 0.625, 0.875]
 
 
@@ -228,3 +238,84 @@ def test_nested_equals_jittered_in_distribution():
     corr = np.corrcoef(offs, rowvar=False)
     np.fill_diagonal(corr, 0.0)
     assert np.max(np.abs(corr)) < 0.08
+
+
+# ---------------------------------------------------------------- reference
+
+def _code_digits(codes, base, depth):
+    """Digit matrix (n, depth) of uint64 codes, most significant digit first."""
+    out = np.empty((len(codes), depth), dtype=np.uint8)
+    rest = codes.copy()
+    for k in range(depth - 1, -1, -1):
+        rest, out[:, k] = np.divmod(rest, np.uint64(base))
+    return out
+
+
+def _check_against_reference(net, spec, rs):
+    # floats bit for bit in base 2; digits exactly in the odd bases, where
+    # the float conversion may differ from the reference in the last ulp
+    out = apply_scrambler(net, spec, rs)
+    if net.base == 2 or spec.kind == ScramblerKind.JITTERED:
+        assert out.points.tobytes() == reference_points(net, spec, rs).tobytes()
+        return
+    depth = spec.resolved_depth()
+    codes = _scrambled_codes(net, spec, rs)
+    assert np.array_equal(_code_digits(codes, net.base, depth), reference_digits(net, spec, rs))
+    exact = np.array([float(Fraction(int(c), net.base**depth)) for c in codes])
+    assert np.all(np.abs(out.points - exact) <= 2 * np.spacing(exact))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("base", [2, 3, 5])
+@pytest.mark.parametrize("m", [0, 1, 3, 6])
+def test_scramblers_match_reference(kind, base, m):
+    net = van_der_corput_net(base, m)
+    spec = ScramblerSpec(kind, base=base)
+    for j in range(3):
+        _check_against_reference(net, spec, RandomStream(2024, j))
+
+
+@pytest.mark.parametrize("base", [2, 3, 5, 7, 11, 13])
+def test_points_below_one_in_every_base(base):
+    depth = default_depth(base)
+    top = np.array([base**depth - 1], dtype=np.uint64)
+    assert _unit(top, base, depth)[0] < 1.0
+    for kind in ALL_KINDS:
+        spec = ScramblerSpec(kind, base=base)
+        for m in (0, 1, 2):
+            net = van_der_corput_net(base, m)
+            for j in range(20):
+                out = apply_scrambler(net, spec, RandomStream(base, j))
+                assert np.all(out.points < 1.0)
+                assert is_net(out)
+                assert is_net(NetPoints(base, m, out.points))  # strata read off the floats
+
+
+def test_points_must_fit_their_integer_types():
+    ScramblerSpec(ScramblerKind.NESTED, base=2, depth=63)
+    with pytest.raises(ValueError):
+        ScramblerSpec(ScramblerKind.NESTED, base=2, depth=64)
+    with pytest.raises(ValueError):
+        ScramblerSpec(ScramblerKind.MATOUSEK, base=3, depth=41)
+    ScramblerSpec(ScramblerKind.NESTED, base=256)
+    with pytest.raises(ValueError):  # digits are uint8
+        ScramblerSpec(ScramblerKind.NESTED, base=257)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("base", [2, 3])
+def test_other_nets_match_reference(kind, base):
+    # nets other than the van der Corput net take the digit-matrix path:
+    # reordered, off the b**-m grid, or an equal copy of the van der Corput net
+    vdc = van_der_corput_net(base, 2)
+    off_grid = (np.arange(base**2) + np.linspace(0.9, 0.1, base**2)) / base**2
+    nets = [NetPoints(base, 2, vdc.points[::-1]), NetPoints(base, 2, off_grid),
+            NetPoints(base, 2, vdc.points)]
+    spec = ScramblerSpec(kind, base=base)
+    for net in nets:
+        for j in range(3):
+            _check_against_reference(net, spec, RandomStream(5, j))
+    if base == 2:  # odd-base points are not exact doubles, so their expanded digits differ
+        same = apply_scrambler(nets[2], spec, RandomStream(5, 0)).points
+        assert same.tobytes() == apply_scrambler(vdc, spec, RandomStream(5, 0)).points.tobytes()
+
