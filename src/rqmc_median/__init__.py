@@ -7,55 +7,10 @@ KS normality checks, convergence-slope fits) used to compare them.
 """
 
 from . import stats
-from .digits import DigitVector, default_depth, expand, value
-from .estimators import (
-    ReplicateBatch,
-    average_estimator,
-    estimates,
-    median_estimator,
-    q_estimate,
-    replicate_batch,
-)
-from .integrands import IntegrandSpec, builtin, builtin_names, sigma2_by_quadrature
-from .nets import NetPoints, is_net, van_der_corput_net
-from .scramble import (
-    LINEAR_KINDS,
-    RandomStream,
-    ScramblerKind,
-    ScramblerSpec,
-    apply_scrambler,
-    scramble_jittered,
-    scramble_linear,
-    scramble_nested,
-)
+from .estimators import median_estimator, replicate_batch
+from .integrands import builtin
+from .scramble import ScramblerSpec
 
-__all__ = [
-    "DigitVector",
-    "IntegrandSpec",
-    "LINEAR_KINDS",
-    "NetPoints",
-    "RandomStream",
-    "ReplicateBatch",
-    "ScramblerKind",
-    "ScramblerSpec",
-    "apply_scrambler",
-    "average_estimator",
-    "builtin",
-    "builtin_names",
-    "default_depth",
-    "estimates",
-    "expand",
-    "is_net",
-    "median_estimator",
-    "q_estimate",
-    "replicate_batch",
-    "scramble_jittered",
-    "scramble_linear",
-    "scramble_nested",
-    "sigma2_by_quadrature",
-    "stats",
-    "value",
-    "van_der_corput_net",
-]
+__all__ = ["ScramblerSpec", "builtin", "median_estimator", "replicate_batch", "stats"]
 
 __version__ = "0.1.0"

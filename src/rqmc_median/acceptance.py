@@ -23,6 +23,7 @@ from .scramble import (
     ScramblerKind,
     ScramblerSpec,
     apply_scrambler,
+    derive_seed,
     scramble_nested,
 )
 
@@ -57,10 +58,6 @@ class _RunContext:
         self._cells: dict[tuple, dict] = {}
         self._offsets: np.ndarray | None = None
 
-    def _seed(self, *key: int) -> int:
-        ss = np.random.SeedSequence(entropy=self.master_seed, spawn_key=tuple(key))
-        return int(ss.generate_state(1, np.uint64)[0])
-
     def estimates(self, kind: ScramblerKind, m: int, count: int) -> dict[str, np.ndarray]:
         """Single-net estimates for streams 0..count-1 of one scrambler cell.
 
@@ -73,7 +70,7 @@ class _RunContext:
         if cell is None:
             names = _TRACKED.get(key, _DEFAULT_TRACKED)
             cell = {
-                "seed": self._seed(0, _KIND_INDEX[kind], m),
+                "seed": derive_seed(self.master_seed, 0, _KIND_INDEX[kind], m),
                 "funcs": [builtin(n) for n in names],
                 "have": 0,
                 "vals": {n: np.empty(0) for n in names},
@@ -90,7 +87,7 @@ class _RunContext:
     def nested_offsets(self, m: int, reps: int) -> np.ndarray:
         """Within-stratum offsets n*x - i of nested scrambles, shape (reps, n)."""
         if self._offsets is None or self._offsets.shape[0] < reps:
-            seed = self._seed(1, m)
+            seed = derive_seed(self.master_seed, 1, m)
             pts = van_der_corput_net(2, m)
             n = pts.n
             off = np.empty((reps, n))
@@ -237,7 +234,7 @@ def _c7(ctx: _RunContext) -> CriterionResult:
         for b, m in grid:
             spec = ScramblerSpec(kind, base=b)
             pts = van_der_corput_net(b, m)
-            seed = ctx._seed(2, _KIND_INDEX[kind], b, m)
+            seed = derive_seed(ctx.master_seed, 2, _KIND_INDEX[kind], b, m)
             for j in range(per_cell):
                 out = apply_scrambler(pts, spec, RandomStream(seed, j))
                 total += 1

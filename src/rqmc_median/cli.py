@@ -10,17 +10,18 @@ formatting and is bit-identical across runs with the same configuration.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import acceptance, stats
 from .estimators import median_estimator, replicate_batch
-from .integrands import builtin, builtin_names
-from .scramble import LINEAR_KINDS, ScramblerKind, ScramblerSpec, _is_prime
+from .integrands import IntegrandSpec, builtin
+from .scramble import ScramblerSpec, derive_seed
 
 __all__ = ["DEFAULT_SEED", "ExperimentConfig", "entry", "main"]
 
@@ -29,16 +30,18 @@ CSV_HEADER = "scrambler,integrand,base,m,N,r,rep,value,rescaled,kind,seed"
 
 _MODES = ("histogram", "convergence", "variance", "acceptance")
 
+# Settings are text wherever they come from: these defaults, then the config
+# file, then the flags, each overriding the last, all parsed the same way.
+_DEFAULTS = dict(base="2", seed=str(DEFAULT_SEED), out="results", shift="on",
+                 criteria=",".join(map(str, range(1, 11))))
 _MODE_DEFAULTS = {
-    "histogram": dict(scramblers=("nested", "matousek"), integrands=("f1", "f2"),
-                      m_values=(4, 6), r_values=(1,), repetitions=10_000),
-    "convergence": dict(scramblers=("nested", "matousek"), integrands=("f1", "f2"),
-                        m_values=tuple(range(4, 13)), r_values=(101,), repetitions=32),
-    "variance": dict(scramblers=("nested", "jittered", "matousek", "tezuka", "striped"),
-                     integrands=("f1", "f2", "linear"), m_values=(6,), r_values=(1,),
-                     repetitions=10_000),
-    "acceptance": dict(scramblers=(), integrands=(), m_values=(), r_values=(),
-                       repetitions=0),
+    "histogram": dict(scramblers="nested,matousek", integrands="f1,f2", m="4,6", r="1",
+                      reps="10000"),
+    "convergence": dict(scramblers="nested,matousek", integrands="f1,f2",
+                        m="4,5,6,7,8,9,10,11,12", r="101", reps="32"),
+    "variance": dict(scramblers="nested,jittered,matousek,tezuka,striped",
+                     integrands="f1,f2,linear", m="6", r="1", reps="10000"),
+    "acceptance": dict(scramblers="", integrands="", m="", r="", reps="0"),
 }
 
 
@@ -61,8 +64,16 @@ class ExperimentConfig:
     criteria: tuple[int, ...] = tuple(range(1, 11))
 
     def validate(self):
+        """Raise UsageError for bad settings before a run writes anything.
+
+        Scrambler and integrand names, the base and its pairing with each
+        scrambler kind are checked by building the specs, which own those
+        rules.
+        """
         if self.mode not in _MODES:
             raise UsageError(f"unknown mode {self.mode!r}")
+        if self.master_seed < 0:
+            raise UsageError(f"seed must be nonnegative, got {self.master_seed}")
         if self.mode == "acceptance":
             if not self.criteria:
                 raise UsageError("empty criteria selection")
@@ -77,27 +88,22 @@ class ExperimentConfig:
             raise UsageError("m values must be nonnegative and nonempty")
         if not self.r_values or any(r < 1 for r in self.r_values):
             raise UsageError("r values must be positive and nonempty")
-        if self.base < 2:
-            raise UsageError("base must be >= 2")
-        for name in self.scramblers:
-            try:
-                kind = ScramblerKind(name)
-            except ValueError:
-                raise UsageError(f"unknown scrambler {name!r}") from None
-            if kind in LINEAR_KINDS and not _is_prime(self.base):
-                raise UsageError(f"scrambler {name!r} needs a prime base, got {self.base}")
-        for name in self.integrands:
-            if name not in builtin_names():
-                raise UsageError(f"unknown integrand {name!r}")
         if self.mode == "convergence" and len(self.m_values) < 3:
             raise UsageError("convergence mode needs at least 3 m values")
+        try:
+            for name in self.scramblers:
+                ScramblerSpec(name, base=self.base, shift=self.shift)
+            fs = [builtin(name) for name in self.integrands]
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        zero_energy = [f.name for f in fs if f.exact_sigma2 <= 0]
+        if self.mode == "histogram" and zero_energy:
+            raise UsageError(f"integrand {zero_energy[0]!r} has zero gradient energy; "
+                             "rescaled errors are undefined")
 
 
-def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise UsageError(f"could not parse integer list for {flag}: {text!r}") from None
+def _split(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
 
 
 def _parse_config_file(path: Path) -> dict:
@@ -121,82 +127,68 @@ def _parse_config_file(path: Path) -> dict:
 
 
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    defaults = _MODE_DEFAULTS[args.mode]
-    raw = dict(_parse_config_file(args.config)) if args.config else {}
-    for flag in ("scramblers", "integrands", "m", "r", "reps", "seed", "out", "shift", "base"):
-        val = getattr(args, flag, None)
-        if val is not None:
-            raw[flag] = val
-
-    def pick(key, fallback):
-        return raw.get(key, fallback)
-
-    shift_text = str(pick("shift", "on")).lower()
-    if shift_text not in ("on", "off"):
-        raise UsageError(f"shift must be 'on' or 'off', got {shift_text!r}")
-
-    def as_int(key, fallback):
-        val = pick(key, fallback)
+    raw = {**_DEFAULTS, **_MODE_DEFAULTS[args.mode]}
+    if args.config:
+        raw.update(_parse_config_file(args.config))
+    raw.update((k, v) for k, v in vars(args).items() if k in raw and v is not None)
+    ints = {}
+    for key in ("base", "m", "r", "reps", "seed", "criteria"):
         try:
-            return int(val)
-        except (TypeError, ValueError):
-            raise UsageError(f"could not parse integer for {key}: {val!r}") from None
-
-    def as_list(key, fallback):
-        val = pick(key, fallback)
-        if isinstance(val, str):
-            return _parse_int_list(val, key)
-        return tuple(val)
-
-    def as_names(key, fallback):
-        val = pick(key, fallback)
-        if isinstance(val, str):
-            return tuple(tok.strip() for tok in val.split(",") if tok.strip())
-        return tuple(val)
-
-    criteria = tuple(range(1, 11))
-    if args.mode == "acceptance" and args.criteria is not None:
-        criteria = _parse_int_list(args.criteria, "--criteria")
-
+            ints[key] = tuple(int(tok) for tok in _split(raw[key]))
+        except ValueError:
+            raise UsageError(f"could not parse integers for {key}: {raw[key]!r}") from None
+        if key in ("base", "reps", "seed") and len(ints[key]) != 1:
+            raise UsageError(f"{key} takes one integer, got {raw[key]!r}")
+    shift = raw["shift"].lower()
+    if shift not in ("on", "off"):
+        raise UsageError(f"shift must be 'on' or 'off', got {shift!r}")
     cfg = ExperimentConfig(
         mode=args.mode,
-        scramblers=as_names("scramblers", defaults["scramblers"]),
-        integrands=as_names("integrands", defaults["integrands"]),
-        base=as_int("base", 2),
-        m_values=as_list("m", defaults["m_values"]),
-        r_values=as_list("r", defaults["r_values"]),
-        repetitions=as_int("reps", defaults["repetitions"]),
-        master_seed=as_int("seed", DEFAULT_SEED),
-        out_dir=Path(pick("out", Path("results"))),
-        shift=shift_text == "on",
-        criteria=criteria,
+        scramblers=_split(raw["scramblers"]),
+        integrands=_split(raw["integrands"]),
+        base=ints["base"][0],
+        m_values=ints["m"],
+        r_values=ints["r"],
+        repetitions=ints["reps"][0],
+        master_seed=ints["seed"][0],
+        out_dir=Path(raw["out"]),
+        shift=shift == "on",
+        criteria=ints["criteria"],
     )
     cfg.validate()
     return cfg
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+@dataclass(frozen=True)
+class _Cell:
+    """One (scrambler, integrand, m, r) cell: its specs, built once, and the
+    key columns of its CSV rows.  `index` keys the cell's batch seeds."""
 
+    index: int
+    spec: ScramblerSpec
+    f: IntegrandSpec
+    m: int
+    n: int
+    r: int
 
-def _batch_seed(master_seed: int, cell_index: int, rep: int) -> int:
-    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(cell_index, rep))
-    return int(ss.generate_state(1, np.uint64)[0])
+    def row(self, rep: int, value: float, rescaled: float, kind: str, seed: int) -> str:
+        return (f"{self.spec.kind.value},{self.f.name},{self.spec.base},{self.m},{self.n},"
+                f"{self.r},{rep},{value:.17g},{rescaled:.17g},{kind},{seed}")
 
 
 def _cells(cfg: ExperimentConfig):
-    idx = 0
-    for scrambler in cfg.scramblers:
-        for integrand in cfg.integrands:
-            for m in cfg.m_values:
-                for r in cfg.r_values:
-                    yield idx, scrambler, integrand, m, r
-                    idx += 1
+    grid = itertools.product(cfg.scramblers, cfg.integrands, cfg.m_values, cfg.r_values)
+    for idx, (scrambler, integrand, m, r) in enumerate(grid):
+        spec = ScramblerSpec(scrambler, base=cfg.base, shift=cfg.shift)
+        yield _Cell(idx, spec, builtin(integrand), m, cfg.base**m, r)
 
 
-def _row(scrambler, integrand, base, m, n, r, rep, value, rescaled, kind, seed) -> str:
-    return (f"{scrambler},{integrand},{base},{m},{n},{r},{rep},"
-            f"{_fmt(value)},{_fmt(rescaled)},{kind},{seed}")
+def _median_estimates(cfg: ExperimentConfig, cell: _Cell) -> tuple[list[int], np.ndarray]:
+    """The batch seed and the median-of-r estimate of each repetition of a cell."""
+    seeds = [derive_seed(cfg.master_seed, cell.index, rep) for rep in range(cfg.repetitions)]
+    meds = [median_estimator(replicate_batch(cell.f, cell.spec, cell.m, cell.r, seed))
+            for seed in seeds]
+    return seeds, np.array(meds)
 
 
 def _write(path: Path, lines: list[str]):
@@ -220,40 +212,26 @@ def run_histogram_mode(cfg: ExperimentConfig) -> int:
     """
     _warn_even_r(cfg)
     n_cells = 0
-    for idx, scrambler, integrand, m, r in _cells(cfg):
-        f = builtin(integrand)
-        if f.exact_sigma2 <= 0:
-            raise UsageError(f"integrand {integrand!r} has zero gradient energy; "
-                             "rescaled errors are undefined")
-        spec = ScramblerSpec(ScramblerKind(scrambler), base=cfg.base, shift=cfg.shift)
-        sigma = math.sqrt(f.exact_sigma2)
-        n = cfg.base**m
-        lines = [CSV_HEADER]
-        values = np.empty(cfg.repetitions)
-        seeds = []
-        for rep in range(cfg.repetitions):
-            seed = _batch_seed(cfg.master_seed, idx, rep)
-            seeds.append(seed)
-            values[rep] = median_estimator(replicate_batch(f, spec, m, r, seed))
-        if r == 1:
-            sample = stats.rescale_single(values, f.exact_integral, sigma, n)
+    for cell in _cells(cfg):
+        seeds, values = _median_estimates(cfg, cell)
+        f, sigma = cell.f, math.sqrt(cell.f.exact_sigma2)
+        if cell.r == 1:
+            sample = stats.rescale_single(values, f.exact_integral, sigma, cell.n)
         else:
-            sample = stats.rescale_median(values, f.exact_integral, sigma, n, r)
-        for rep in range(cfg.repetitions):
-            lines.append(_row(scrambler, integrand, cfg.base, m, n, r, rep,
-                              values[rep], sample.values[rep], "raw", seeds[rep]))
+            sample = stats.rescale_median(values, f.exact_integral, sigma, cell.n, cell.r)
+        lines = [CSV_HEADER]
+        lines += [cell.row(rep, v, scaled, "raw", seed)
+                  for rep, (seed, v, scaled) in enumerate(zip(seeds, values, sample.values))]
         hist = stats.histogram(sample)
-        for b, (center, density) in enumerate(hist.pairs):
-            lines.append(_row(scrambler, integrand, cfg.base, m, n, r, b,
-                              center, density, "hist", cfg.master_seed))
+        lines += [cell.row(b, center, density, "hist", cfg.master_seed)
+                  for b, (center, density) in enumerate(hist.pairs)]
         var = float(np.var(sample.values, ddof=1)) if cfg.repetitions > 1 else 0.0
-        lines.append(_row(scrambler, integrand, cfg.base, m, n, r, 0,
-                          var, float(hist.n_outside), "summary", cfg.master_seed))
+        lines.append(cell.row(0, var, float(hist.n_outside), "summary", cfg.master_seed))
         if cfg.repetitions >= 100:
-            lines.append(_row(scrambler, integrand, cfg.base, m, n, r, 1,
-                              stats.ks_statistic_normal(sample), 0.0,
-                              "summary", cfg.master_seed))
-        _write(cfg.out_dir / f"hist_{scrambler}_{integrand}_m{m}_r{r}.csv", lines)
+            lines.append(cell.row(1, stats.ks_statistic_normal(sample), 0.0,
+                                  "summary", cfg.master_seed))
+        _write(cfg.out_dir / f"hist_{cell.spec.kind.value}_{f.name}_m{cell.m}_r{cell.r}.csv",
+               lines)
         n_cells += 1
     print(f"histogram mode: wrote {n_cells} cell files to {cfg.out_dir}")
     return 0
@@ -269,31 +247,26 @@ def run_convergence_mode(cfg: ExperimentConfig) -> int:
     """
     _warn_even_r(cfg)
     lines = [CSV_HEADER]
-    cell_errs: dict[tuple, list] = {}
-    for idx, scrambler, integrand, m, r in _cells(cfg):
-        f = builtin(integrand)
-        spec = ScramblerSpec(ScramblerKind(scrambler), base=cfg.base, shift=cfg.shift)
-        n = cfg.base**m
-        abs_errs = np.empty(cfg.repetitions)
-        for rep in range(cfg.repetitions):
-            seed = _batch_seed(cfg.master_seed, idx, rep)
-            med = median_estimator(replicate_batch(f, spec, m, r, seed))
-            abs_errs[rep] = abs(med - f.exact_integral)
-            lines.append(_row(scrambler, integrand, cfg.base, m, n, r, rep,
-                              med, abs_errs[rep], "raw", seed))
+    sweeps: dict[tuple, tuple[_Cell, list]] = {}
+    for cell in _cells(cfg):
+        seeds, meds = _median_estimates(cfg, cell)
+        abs_errs = np.abs(meds - cell.f.exact_integral)
+        lines += [cell.row(rep, med, abs_err, "raw", seed)
+                  for rep, (seed, med, abs_err) in enumerate(zip(seeds, meds, abs_errs))]
         err = float(np.median(abs_errs))
-        lines.append(_row(scrambler, integrand, cfg.base, m, n, r, 0, err, 0.0,
-                          "summary", cfg.master_seed))
-        cell_errs.setdefault((scrambler, integrand, r), []).append((n, err))
-    for (scrambler, integrand, r), pts in sorted(cell_errs.items()):
+        lines.append(cell.row(0, err, 0.0, "summary", cfg.master_seed))
+        sweep = sweeps.setdefault((cell.spec.kind.value, cell.f.name, cell.r),
+                                  (replace(cell, m=-1, n=0), []))
+        sweep[1].append((cell.n, err))
+    for key in sorted(sweeps):
+        slope_cell, pts = sweeps[key]
         try:
             slope, intercept = stats.fit_slope(pts)
         except ValueError as exc:
-            print(f"slope fit skipped for {scrambler}/{integrand}/r={r}: {exc}",
+            print(f"slope fit skipped for {key[0]}/{key[1]}/r={key[2]}: {exc}",
                   file=sys.stderr)
             continue
-        lines.append(_row(scrambler, integrand, cfg.base, -1, 0, r, 0, slope,
-                          intercept, "summary", cfg.master_seed))
+        lines.append(slope_cell.row(0, slope, intercept, "summary", cfg.master_seed))
     _write(cfg.out_dir / "convergence.csv", lines)
     print(f"convergence mode: wrote {cfg.out_dir / 'convergence.csv'}")
     return 0
@@ -302,27 +275,21 @@ def run_convergence_mode(cfg: ExperimentConfig) -> int:
 def run_variance_mode(cfg: ExperimentConfig) -> int:
     """Per cell: empirical Var(Q) over the repetitions against sigma^2/n^3.
 
-    Summary rows: rep 0 holds (empirical variance, theoretical variance);
-    rep 1 holds their ratio (0 when the theoretical variance is 0).
+    The repetitions are one batch, whose size the rows give as r.  Summary
+    rows: rep 0 holds (empirical variance, theoretical variance); rep 1
+    holds their ratio (0 when the theoretical variance is 0).
     """
     lines = [CSV_HEADER]
-    for idx, scrambler, integrand, m, r in _cells(cfg):
-        f = builtin(integrand)
-        spec = ScramblerSpec(ScramblerKind(scrambler), base=cfg.base, shift=cfg.shift)
-        n = cfg.base**m
-        seed = _batch_seed(cfg.master_seed, idx, 0)
-        batch = replicate_batch(f, spec, m, cfg.repetitions, seed)
-        est = np.asarray(batch.estimates)
-        for rep, val in enumerate(est):
-            lines.append(_row(scrambler, integrand, cfg.base, m, n, cfg.repetitions,
-                              rep, val, 0.0, "raw", seed))
+    for cell in _cells(cfg):
+        cell = replace(cell, r=cfg.repetitions)
+        seed = derive_seed(cfg.master_seed, cell.index, 0)
+        est = np.asarray(replicate_batch(cell.f, cell.spec, cell.m, cell.r, seed).estimates)
+        lines += [cell.row(rep, val, 0.0, "raw", seed) for rep, val in enumerate(est)]
         emp = float(np.var(est, ddof=1)) if cfg.repetitions > 1 else 0.0
-        theo = f.exact_sigma2 / n**3
-        lines.append(_row(scrambler, integrand, cfg.base, m, n, cfg.repetitions, 0,
-                          emp, theo, "summary", cfg.master_seed))
-        lines.append(_row(scrambler, integrand, cfg.base, m, n, cfg.repetitions, 1,
-                          emp / theo if theo > 0 else 0.0, 0.0, "summary",
-                          cfg.master_seed))
+        theo = cell.f.exact_sigma2 / cell.n**3
+        lines.append(cell.row(0, emp, theo, "summary", cfg.master_seed))
+        lines.append(cell.row(1, emp / theo if theo > 0 else 0.0, 0.0, "summary",
+                              cfg.master_seed))
     _write(cfg.out_dir / "variance.csv", lines)
     print(f"variance mode: wrote {cfg.out_dir / 'variance.csv'}")
     return 0

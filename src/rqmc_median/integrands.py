@@ -17,15 +17,13 @@ class IntegrandSpec:
 
     `exact_sigma2` is the gradient energy (1/12) * integral of f'(x)**2 over
     [0, 1], the constant that scales the n**-3 variance of scrambled-net
-    estimates.  `derivative` is the analytic f', kept for cross-checks.
+    estimates.
     """
 
     name: str
     eval: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[np.ndarray], np.ndarray]
     exact_integral: float
     exact_sigma2: float
-    smoothness_tag: str  # finite | infinite | linear | constant
 
     def __post_init__(self):
         if self.exact_sigma2 < 0:
@@ -36,34 +34,26 @@ _BUILTINS = {
     "f1": IntegrandSpec(
         name="f1",
         eval=lambda x: np.power(x, 1.5),
-        derivative=lambda x: 1.5 * np.sqrt(x),
         exact_integral=2.0 / 5.0,
         exact_sigma2=3.0 / 32.0,
-        smoothness_tag="finite",
     ),
     "f2": IntegrandSpec(
         name="f2",
         eval=lambda x: np.exp(-x),
-        derivative=lambda x: -np.exp(-x),
         exact_integral=1.0 - math.exp(-1.0),
         exact_sigma2=(1.0 - math.exp(-2.0)) / 24.0,
-        smoothness_tag="infinite",
     ),
     "linear": IntegrandSpec(
         name="linear",
         eval=lambda x: np.asarray(x, dtype=np.float64),
-        derivative=lambda x: np.ones_like(np.asarray(x, dtype=np.float64)),
         exact_integral=0.5,
         exact_sigma2=1.0 / 12.0,
-        smoothness_tag="linear",
     ),
     "constant": IntegrandSpec(
         name="constant",
         eval=lambda x: np.ones_like(np.asarray(x, dtype=np.float64)),
-        derivative=lambda x: np.zeros_like(np.asarray(x, dtype=np.float64)),
         exact_integral=1.0,
         exact_sigma2=0.0,
-        smoothness_tag="constant",
     ),
 }
 

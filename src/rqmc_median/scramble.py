@@ -42,6 +42,7 @@ __all__ = [
     "ScramblerKind",
     "ScramblerSpec",
     "apply_scrambler",
+    "derive_seed",
     "scramble_jittered",
     "scramble_linear",
     "scramble_nested",
@@ -94,7 +95,11 @@ class ScramblerSpec:
     shift: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", ScramblerKind(self.kind))
+        try:
+            object.__setattr__(self, "kind", ScramblerKind(self.kind))
+        except ValueError:
+            raise ValueError(f"unknown scrambler {self.kind!r}; choose from "
+                             f"{', '.join(kind.value for kind in ScramblerKind)}") from None
         if not 2 <= self.base <= 256:
             raise ValueError(f"base must be in 2..256 (digits are uint8), got {self.base}")
         if self.depth is not None and self.depth < 1:
@@ -132,6 +137,16 @@ class RandomStream:
         """A freshly seeded generator positioned at the start of the stream."""
         ss = np.random.SeedSequence(entropy=self.master_seed, spawn_key=(self.stream_id,))
         return np.random.default_rng(ss)
+
+
+def derive_seed(master_seed: int, *key: int) -> int:
+    """A 64-bit seed derived from master_seed under the spawn key `key`.
+
+    Callers use it to give each cell, or each repetition of a cell, its own
+    master seed for RandomStream.
+    """
+    ss = np.random.SeedSequence(entropy=master_seed, spawn_key=key)
+    return int(ss.generate_state(1, np.uint64)[0])
 
 
 @functools.lru_cache(maxsize=64)

@@ -28,17 +28,10 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 @dataclass(frozen=True, eq=False)
 class RescaledSample:
-    """Rescaled error sample from repeated estimates.
-
-    `scaling` records which normalization produced the values:
-    'single' for n**1.5 * (Q - I) / sigma, 'median' for the additional
-    sqrt(2r/pi) factor that makes the large-r limit standard normal.
-    """
+    """Rescaled error sample from repeated estimates (see rescale_single and
+    rescale_median)."""
 
     values: np.ndarray
-    scaling: str  # 'single' | 'median'
-    n_points: int
-    r: int
 
     def __post_init__(self):
         vals = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -73,19 +66,22 @@ def rescale_single(estimates: Sequence[float], exact_integral: float, sigma: flo
         raise ValueError("sigma must be positive (constant integrands cannot be rescaled)")
     est = np.asarray(estimates, dtype=np.float64)
     vals = n_points**1.5 * (est - exact_integral) / sigma
-    return RescaledSample(vals, "single", n_points, 1)
+    return RescaledSample(vals)
 
 
 def rescale_median(medians: Sequence[float], exact_integral: float, sigma: float,
                    n_points: int, r: int) -> RescaledSample:
-    """values[j] = sqrt(2r/pi) * n**1.5 * (medians[j] - I) / sigma."""
+    """values[j] = sqrt(2r/pi) * n**1.5 * (medians[j] - I) / sigma.
+
+    The sqrt(2r/pi) factor makes the large-r limit standard normal.
+    """
     if not sigma > 0:
         raise ValueError("sigma must be positive (constant integrands cannot be rescaled)")
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
     med = np.asarray(medians, dtype=np.float64)
     vals = math.sqrt(2.0 * r / math.pi) * n_points**1.5 * (med - exact_integral) / sigma
-    return RescaledSample(vals, "median", n_points, r)
+    return RescaledSample(vals)
 
 
 def _std_normal_cdf(x: np.ndarray) -> np.ndarray:
@@ -183,7 +179,7 @@ def median_variance(r: int, sigma: float) -> float:
 class Histogram:
     """Density histogram normalized to the in-range mass.
 
-    Each bin's density is count / (n_total * bin_width), so the histogram
+    Each bin's density is count / (sample size * bin_width), so the histogram
     integrates to the fraction of values inside [lo, hi); values outside are
     counted in `n_outside`.
     """
@@ -191,7 +187,6 @@ class Histogram:
     bin_centers: np.ndarray
     densities: np.ndarray
     n_outside: int
-    n_total: int
 
     @property
     def pairs(self) -> list[tuple[float, float]]:
@@ -215,7 +210,7 @@ def histogram(sample: RescaledSample, bins: int = 60,
     centers = lo + (np.arange(bins) + 0.5) * width
     n_total = len(vals)
     densities = counts / (n_total * width) if n_total else np.zeros(bins)
-    return Histogram(centers, densities, int(n_total - inside.sum()), n_total)
+    return Histogram(centers, densities, int(n_total - inside.sum()))
 
 
 def fit_slope(points: Sequence[tuple[float, float]]) -> tuple[float, float]:

@@ -23,12 +23,28 @@ def test_unknown_integrand(capsys):
 
 def test_unknown_scrambler(capsys):
     assert main(["variance", "--scramblers", "sobol", "--reps", "10"]) == 2
+    assert "unknown scrambler" in capsys.readouterr().err
 
 
 def test_linear_kind_rejects_nonprime_base(capsys):
     code = main(["variance", "--scramblers", "matousek", "--base", "4", "--reps", "10"])
     assert code == 2
     assert "prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["variance", "--scramblers", "nested", "--base", "257"], "base"),
+    (["histogram", "--base", "1"], "base"),
+    (["histogram", "--seed", "-1"], "seed"),
+    (["convergence", "--seed", "-1"], "seed"),
+    (["variance", "--seed", "-1"], "seed"),
+    (["acceptance", "--seed", "-1"], "seed"),
+], ids=["base-257", "base-1", "seed-histogram", "seed-convergence", "seed-variance",
+        "seed-acceptance"])
+def test_bad_input_is_usage_error(tmp_path, capsys, argv, text):
+    assert main(argv + ["--reps", "3", "--out", str(tmp_path)]) == 2
+    assert text in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_nonprime_base_fine_for_nested(tmp_path):
@@ -123,10 +139,11 @@ def test_histogram_single_repetition_degenerates_gracefully(tmp_path):
 
 
 def test_histogram_rejects_constant_integrand(tmp_path, capsys):
-    code = main(["histogram", "--scramblers", "nested", "--integrands", "constant",
+    code = main(["histogram", "--scramblers", "nested", "--integrands", "f1,constant",
                  "--m", "3", "--reps", "10", "--out", str(tmp_path)])
     assert code == 2
     assert "gradient energy" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())  # rejected before the f1 cell is written
 
 
 def test_shift_off_accepted(tmp_path):

@@ -42,17 +42,6 @@ def test_quadrature_panel_floor():
         sigma2_by_quadrature(builtin("f1"), 8)
 
 
-@pytest.mark.parametrize("name", ["f1", "f2", "linear", "constant"])
-def test_derivative_matches_finite_differences(name):
-    f = builtin(name)
-    xs = np.linspace(0.005, 0.995, 100)
-    h = 1e-6
-    fd = (f.eval(xs + h) - f.eval(xs - h)) / (2 * h)
-    exact = f.derivative(xs)
-    scale = np.maximum(np.abs(exact), 1e-3)
-    assert np.max(np.abs(fd - exact) / scale) < 1e-6
-
-
 def test_eval_accepts_scalars_and_arrays():
     f = builtin("f1")
     assert f.eval(0.25) == 0.125

@@ -62,18 +62,18 @@ def _norm_quantile(p):
 def test_ks_on_ideal_quantiles():
     n = 1000
     vals = [_norm_quantile((i - 0.5) / n) for i in range(1, n + 1)]
-    sample = stats.RescaledSample(np.array(vals), "single", 64, 1)
+    sample = stats.RescaledSample(np.array(vals))
     assert stats.ks_statistic_normal(sample) <= 0.001
 
 
 def test_ks_point_mass():
-    sample = stats.RescaledSample(np.zeros(500), "single", 64, 1)
+    sample = stats.RescaledSample(np.zeros(500))
     assert stats.ks_statistic_normal(sample) == pytest.approx(0.5)
 
 
 def test_ks_minimum_sample_size():
     with pytest.raises(ValueError):
-        stats.ks_statistic_normal(stats.RescaledSample(np.zeros(99), "single", 64, 1))
+        stats.ks_statistic_normal(stats.RescaledSample(np.zeros(99)))
 
 
 def test_ks_on_true_normal_draws():
@@ -82,7 +82,7 @@ def test_ks_on_true_normal_draws():
     crit = 1.358 / math.sqrt(10_000)
     below = sum(
         stats.ks_statistic_normal(
-            stats.RescaledSample(rng.standard_normal(10_000), "single", 64, 1)) < crit
+            stats.RescaledSample(rng.standard_normal(10_000))) < crit
         for _ in range(100))
     assert below >= 95
 
@@ -154,14 +154,14 @@ def test_median_variance_matches_simulation():
 # ------------------------------------------------------------- histogram
 
 def test_histogram_point_mass():
-    sample = stats.RescaledSample(np.full(50, 0.3), "single", 16, 1)
+    sample = stats.RescaledSample(np.full(50, 0.3))
     hist = stats.histogram(sample, bins=1, value_range=(0.0, 1.0))
     assert hist.densities.tolist() == [1.0]
     assert hist.n_outside == 0
 
 
 def test_histogram_all_outside():
-    sample = stats.RescaledSample(np.full(30, 9.0), "single", 16, 1)
+    sample = stats.RescaledSample(np.full(30, 9.0))
     hist = stats.histogram(sample, bins=4, value_range=(-1.0, 1.0))
     assert np.all(hist.densities == 0.0)
     assert hist.n_outside == 30
@@ -169,7 +169,7 @@ def test_histogram_all_outside():
 
 def test_histogram_uniform_density():
     rng = np.random.default_rng(8)
-    sample = stats.RescaledSample(rng.uniform(-2, 2, 200_000), "single", 16, 1)
+    sample = stats.RescaledSample(rng.uniform(-2, 2, 200_000))
     hist = stats.histogram(sample, bins=20, value_range=(-2.0, 2.0))
     assert np.all(np.abs(hist.densities - 0.25) < 0.25 * 0.05)
     total = np.sum(hist.densities) * (4.0 / 20)
@@ -177,7 +177,7 @@ def test_histogram_uniform_density():
 
 
 def test_histogram_validation():
-    sample = stats.RescaledSample(np.zeros(5), "single", 16, 1)
+    sample = stats.RescaledSample(np.zeros(5))
     with pytest.raises(ValueError):
         stats.histogram(sample, bins=0)
     with pytest.raises(ValueError):
@@ -224,4 +224,4 @@ def test_fit_slope_invariant_to_error_rescaling(c):
 
 def test_rescaled_sample_rejects_nonfinite():
     with pytest.raises(ValueError):
-        stats.RescaledSample(np.array([0.0, np.inf]), "single", 16, 1)
+        stats.RescaledSample(np.array([0.0, np.inf]))
