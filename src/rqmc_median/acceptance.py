@@ -92,9 +92,8 @@ class _RunContext:
             n = pts.n
             off = np.empty((reps, n))
             for j in range(reps):
-                x = scramble_nested(pts, RandomStream(seed, j)).points
-                strata = np.floor(x * n).astype(np.int64)
-                off[j, strata] = x * n - strata
+                net = scramble_nested(pts, RandomStream(seed, j))
+                off[j, net.strata] = net.points * n - net.strata
             self._offsets = off
         return self._offsets[:reps]
 

@@ -362,3 +362,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

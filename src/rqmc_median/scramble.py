@@ -18,8 +18,9 @@ zero past position m and point i carries the digits of i, so the net grows
 b-fold per digit.  A linear scramble of it needs only the first m columns
 of its matrix (in base 2 each column packs into one word and the scramble
 is m rounds of XOR), and a nested scramble is a gather of permuted digits
-at fixed tree nodes followed by uniform tail digits.  Any other net is
-scrambled from its digit matrix.
+at fixed tree nodes followed by uniform tail digits.  Any other net is read
+through its strata; a linear scramble, which acts on every digit, takes
+only the van der Corput points, in any order.
 
 All scramblers preserve the net property exactly at digit level and are pure
 functions of (net, spec, stream): repeated calls give bit-identical output.
@@ -34,7 +35,7 @@ from enum import Enum
 import numpy as np
 
 from .digits import default_depth
-from .nets import NetPoints, is_net, stratum_indices, van_der_corput_net
+from .nets import NetPoints, is_net, van_der_corput_net
 
 __all__ = [
     "LINEAR_KINDS",
@@ -150,18 +151,16 @@ def derive_seed(master_seed: int, *key: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(base: int, m: int) -> tuple[NetPoints, np.ndarray, np.ndarray, np.ndarray]:
-    """The (base, m) van der Corput net and its fixed index arrays, read-only.
+def _layout(base: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fixed index arrays, read-only, of the nested tree over the (b, m) net.
 
     Point i's first m digits are the base-b digits of i, least significant
     first, so the net grows b-fold per digit: point i + a * b**k extends
-    point i < b**k by the digit a.  The nested tree has one node per digit
-    prefix, level-major and lexicographic within a level.  Returns the net;
-    `strata` (n,), the stratum of point i (its m digits read as an integer,
-    which is also the point in stratum i: the digit reversal is an
-    involution); `node_index` (n, m), the flat index into the row-wise
-    permuted tables of the entry that maps point i's digit k; and `tables`
-    (nodes, base), one identity row per node.
+    point i < b**k by the digit a.  The tree has one node per digit prefix,
+    level-major and lexicographic within a level.  Returns `node_index`
+    (n, m), the flat index into the row-wise permuted tables of the entry
+    that maps point i's digit k, and `tables` (nodes, base), one identity
+    row per node.
     """
     strata = np.zeros(1, dtype=np.int64)
     node_index = np.zeros((1, 0), dtype=np.intp)
@@ -173,9 +172,9 @@ def _layout(base: int, m: int) -> tuple[NetPoints, np.ndarray, np.ndarray, np.nd
         strata = (strata * base + digit).ravel()
         first += base**k
     tables = np.tile(np.arange(base, dtype=np.uint8), (first, 1))
-    for arr in (strata, node_index, tables):
+    for arr in (node_index, tables):
         arr.flags.writeable = False
-    return van_der_corput_net(base, m), strata, node_index, tables
+    return node_index, tables
 
 
 def _codes(digits: np.ndarray, base: int) -> np.ndarray:
@@ -199,23 +198,22 @@ def _unit(codes: np.ndarray, base: int, depth: int) -> np.ndarray:
 
 
 def _nested_codes(base: int, m: int, depth: int, rng: np.random.Generator,
-                  digmat: np.ndarray | None) -> np.ndarray:
+                  source: np.ndarray | None) -> np.ndarray:
     """One row-wise permutation of the stacked level tables (the draws of one
     call per level, in level order), then the tail digits, one row per point.
 
     Every length-m prefix of a net is unique to one point, so digits past
     level m see each tree node exactly once and a permuted digit there is
     simply a uniform digit: the tail draws supply those directly.  A net
-    other than the van der Corput net (`digmat`, its digit matrix) follows
-    the tree path of the van der Corput point with its first m digits.
+    other than the van der Corput net follows the tree path of its `source`,
+    the van der Corput point in the same stratum.
     """
-    _, strata, node_index, tables = _layout(base, m)
+    node_index, tables = _layout(base, m)
     n, tail = base**m, depth - m
     digits = np.empty((n, depth), dtype=np.uint8)
     if m:
-        if digmat is not None:
-            prefix = digmat[:, :m].astype(np.int64) @ base ** np.arange(m - 1, -1, -1)
-            node_index = node_index[strata[prefix]]
+        if source is not None:
+            node_index = node_index[source]
         digits[:, :m] = rng.permuted(tables, axis=1).ravel()[node_index]
     if tail:
         digits[:, m:] = rng.integers(0, base, size=(n, tail), dtype=np.uint8)
@@ -260,23 +258,18 @@ def _matrix_columns(kind: ScramblerKind, vec: np.ndarray, block: np.ndarray | No
     return np.where(offset >= 0, vec[None, :m], 0)  # striped: constant columns
 
 
-def _linear_codes(spec: ScramblerSpec, m: int, depth: int, rng: np.random.Generator,
-                  digmat: np.ndarray | None) -> np.ndarray:
-    """The matrix, then the shift; point i gets M a_i + shift mod b.
+def _linear_codes(spec: ScramblerSpec, m: int, depth: int,
+                  rng: np.random.Generator) -> np.ndarray:
+    """The matrix, then the shift; van der Corput point i gets M a_i + shift mod b.
 
-    For the van der Corput net a_i holds the digits of i least significant
-    first, so the points double (base 2) or grow b-fold per digit: the
-    points with digit k of i equal to a add a times column k of M to the
-    points before them.  Any other net (`digmat`, its digit matrix) goes
-    through the whole matrix.
+    a_i holds the digits of i least significant first, so the points double
+    (base 2) or grow b-fold per digit: the points with digit k of i equal to
+    a add a times column k of M to the points before them.
     """
     base = spec.base
     vec, block = _matrix_draws(spec.kind, base, depth, rng)
     shift = (rng.integers(0, base, size=depth, dtype=np.int64) if spec.shift
              else np.zeros(depth, dtype=np.int64))
-    if digmat is not None:
-        matrix = _matrix_columns(spec.kind, vec, block, depth)
-        return _codes((digmat.astype(np.int64) @ matrix.T + shift) % base, base)
     cols = _matrix_columns(spec.kind, vec, block, m)
     if base == 2:
         words = _codes(np.vstack([cols.T, shift]), base)  # the m columns, then the shift
@@ -304,33 +297,37 @@ def _jittered_points(strata: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _scrambled_codes(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> np.ndarray:
-    """Codes of one nested or linear scramble of a net in base spec.base."""
+    """Codes of one nested or linear scramble of a net in base spec.base.
+
+    A net other than the van der Corput net is read through `source`, the
+    van der Corput point in each point's stratum (digit reversal is an involution).
+    """
     base, m = pts.base, pts.m
     depth = spec.resolved_depth()
     if depth < m:
         raise ValueError(f"depth {depth} below m={m} would destroy the net property")
-    digmat = None if pts is _layout(base, m)[0] else pts.digits(depth)
+    vdc = van_der_corput_net(base, m)
+    source = None
+    if pts is not vdc:
+        source = vdc.strata[pts.strata]
+        if spec.kind in LINEAR_KINDS and not np.array_equal(pts.points, vdc.points[source]):
+            raise ValueError(f"{spec.kind.value} scrambling takes only the van der Corput "
+                             "points, in any order")
     rng = rs.generator()
     if spec.kind == ScramblerKind.NESTED:
-        return _nested_codes(base, m, depth, rng, digmat)
-    return _linear_codes(spec, m, depth, rng, digmat)
-
-
-def _require_net(pts: NetPoints) -> None:
-    if not is_net(pts):
-        raise ValueError("input points do not form a (0, m, 1)-net")
+        return _nested_codes(base, m, depth, rng, source)
+    codes = _linear_codes(spec, m, depth, rng)
+    return codes if source is None else codes[source]
 
 
 def _scramble_net(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> NetPoints:
     """One scramble of one net; the output carries its exact strata."""
-    _require_net(pts)
+    if not is_net(pts):
+        raise ValueError("input points do not form a (0, m, 1)-net")
     base, m = pts.base, pts.m
     if spec.kind == ScramblerKind.JITTERED:
-        vdc, strata = _layout(base, m)[:2]
-        if pts is not vdc:
-            strata = stratum_indices(pts)
         u = rs.generator().random(pts.n)
-        return NetPoints(base, m, _jittered_points(strata, u), strata=strata)
+        return NetPoints(base, m, _jittered_points(pts.strata, u), strata=pts.strata)
     depth = spec.resolved_depth()
     codes = _scrambled_codes(pts, spec, rs)
     strata = (codes // np.uint64(base ** (depth - m))).astype(np.int64)

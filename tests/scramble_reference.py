@@ -9,8 +9,26 @@ its floats bit for bit and in every base its digits exactly.
 
 import numpy as np
 
-from rqmc_median.nets import stratum_indices
+from rqmc_median.digits import expand
 from rqmc_median.scramble import LINEAR_KINDS, ScramblerKind
+
+
+def input_digits(net, depth: int) -> np.ndarray:
+    """Digit matrix (n, depth) of a net's points, most significant first.
+
+    A point on the b**-m grid (a van der Corput point, in any order) has the
+    m digits of its stratum and a zero tail; any other point is expanded
+    from its float by `digits.expand`, as 0.1.0 did.
+    """
+    n = net.n
+    grid = np.rint(net.points * n)
+    out = np.zeros((n, depth), dtype=np.uint8)
+    rest = grid.astype(np.int64)
+    for k in range(net.m - 1, -1, -1):
+        rest, out[:, k] = np.divmod(rest, net.base)
+    for i in np.flatnonzero(grid / n != net.points):
+        out[i] = expand(net.points[i], net.base, depth).digits
+    return out
 
 
 def _digit_values(digmat: np.ndarray, base: int) -> np.ndarray:
@@ -93,7 +111,7 @@ def _apply_linear(digmat: np.ndarray, base: int, matrix: np.ndarray,
 def reference_digits(net, spec, rs) -> np.ndarray:
     """Scrambled digit matrix (n, depth) of one net for a nested or linear spec."""
     base, m, depth = net.base, net.m, spec.resolved_depth()
-    digmat = net.digits(depth)
+    digmat = input_digits(net, depth)
     rng = rs.generator()
     if spec.kind == ScramblerKind.NESTED:
         tables = _nested_tables(rng, base, m)
@@ -112,7 +130,7 @@ def reference_points(net, spec, rs) -> np.ndarray:
     if spec.kind == ScramblerKind.JITTERED:
         n = net.n
         u = rs.generator().random(n)
-        strata = stratum_indices(net)
+        strata = net.strata
         x = (strata + u[strata]) / n
         return np.minimum(x, np.nextafter((strata + 1.0) / n, 0.0))
     return _digit_values(reference_digits(net, spec, rs), net.base)

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rqmc_median
 from rqmc_median.cli import CSV_HEADER, main
 
 
@@ -45,6 +51,21 @@ def test_bad_input_is_usage_error(tmp_path, capsys, argv, text):
     assert main(argv + ["--reps", "3", "--out", str(tmp_path)]) == 2
     assert text in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_module_run_executes_mode(tmp_path):
+    # `python -m rqmc_median.cli` runs a mode like the installed entry point
+    src = str(Path(rqmc_median.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "rqmc_median.cli", "variance", "--m", "1",
+                               "--reps", "3", *args], env=env, capture_output=True)
+
+    assert run("--out", str(tmp_path / "ok")).returncode == 0
+    assert (tmp_path / "ok" / "variance.csv").is_file()
+    assert run("--base", "257", "--out", str(tmp_path / "bad")).returncode == 2
 
 
 def test_nonprime_base_fine_for_nested(tmp_path):

@@ -1,10 +1,12 @@
-"""Golden outputs: small base-2 CLI runs at a fixed seed, pinned by sha256.
+"""Golden outputs: small CLI runs at a fixed seed, pinned by sha256.
 
-The digests were recorded with rqmc-median 0.1.0.  Base-2 output is
+The base-2 digests were recorded with rqmc-median 0.1.0.  Base-2 output is
 byte-identical across versions that keep the random streams, so a change
 here means the streams, the scramblers, the estimators or the CSV format
-changed.  Each digest covers every CSV of one run: file name, then bytes,
-in sorted file-name order.
+changed.  The base-3 and base-5 digests pin the uint64-code scramblers
+instead: their digits are those of 0.1.0, but a float may differ from
+0.1.0's by up to 2 ulps.  Each digest covers every CSV of one run: file
+name, then bytes, in sorted file-name order.
 """
 
 import hashlib
@@ -36,6 +38,21 @@ RUNS = {
         ["variance", "--scramblers", ALL_KINDS, "--integrands", "f1,f2,linear",
          "--m", "0,3,6", "--reps", "150"],
         "f6edd3180fbf2e6bdfb073c494f42d67432b608d6212a12571e53d0a7332ff51",
+    ),
+    "variance-base3": (
+        ["variance", "--scramblers", ALL_KINDS, "--integrands", "f1,f2,linear",
+         "--m", "0,2,3", "--reps", "150", "--base", "3"],
+        "9b28575c8ed3afc1658d6ec1d9280fb7f98e00962f86da5905ac7a245e2ffe8f",
+    ),
+    "variance-base5": (
+        ["variance", "--scramblers", ALL_KINDS, "--integrands", "f1,f2,linear",
+         "--m", "0,2,3", "--reps", "150", "--base", "5"],
+        "7f226c46c2577b6d39d844c58971026167f75e1ff20d7dafbd191da3c72bf114",
+    ),
+    "histogram-base3-r3": (
+        ["histogram", "--scramblers", ALL_KINDS, "--integrands", "f1,f2",
+         "--m", "0,2,3", "--r", "3", "--reps", "20", "--base", "3"],
+        "a71afed020fbf939f7ed0a373aee812ad0192fc5fc3a105637f2fcc5672b110d",
     ),
 }
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rqmc_median.digits import int_digits
-from rqmc_median.nets import NetPoints, is_net, stratum_indices, van_der_corput_net
+from rqmc_median.nets import NetPoints, is_net, van_der_corput_net
 
 
 def test_vdc_base2_m2():
@@ -46,9 +46,12 @@ def test_is_net_examples():
     assert is_net(NetPoints(2, 2, np.array([0.99, 0.01, 0.51, 0.26])))
 
 
-def test_is_net_rejects_out_of_range():
-    assert not is_net(NetPoints(2, 1, np.array([0.25, 1.0])))
-    assert not is_net(NetPoints(2, 1, np.array([-0.1, 0.75])))
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [1.0, -0.1, np.nan, np.inf, -np.inf, 1e300])
+def test_is_net_rejects_out_of_range(bad):
+    # constructing the net must not warn on a non-finite or huge point
+    assert not is_net(NetPoints(2, 1, np.array([bad, 0.75])))
+    assert not is_net(NetPoints(2, 1, np.array([0.25, bad])))
 
 
 def test_netpoints_validates_count():
@@ -59,7 +62,7 @@ def test_netpoints_validates_count():
 def test_net_size_guard():
     with pytest.raises(ValueError):
         van_der_corput_net(2, 63)
-    with pytest.raises(ValueError):  # digits are uint8
+    with pytest.raises(ValueError):  # above the largest base the scramblers take
         van_der_corput_net(257, 1)
 
 
@@ -69,27 +72,11 @@ def test_points_are_read_only():
         net.points[0] = 0.9
 
 
-def test_digit_matrix_matches_points():
-    net = van_der_corput_net(3, 3)
-    mat = net.digits(7)
-    assert mat.shape == (27, 7)
-    weights = 3.0 ** -np.arange(1, 8)
-    np.testing.assert_allclose(mat @ weights, net.points, atol=1e-15)
-    # tail past m is zero for the deterministic net
-    assert np.all(mat[:, 3:] == 0)
-
-
-def test_digits_depth_below_m_rejected():
-    with pytest.raises(ValueError):
-        van_der_corput_net(2, 4).digits(3)
-
-
 def test_stratum_indices_boundary_tolerance():
     # a boundary point whose double rounded just below the edge still lands
     # in the intended stratum
     n = 5**6
     pts = van_der_corput_net(5, 6)
-    strata = stratum_indices(pts)
-    assert sorted(strata.tolist()) == list(range(n))
+    assert sorted(pts.strata.tolist()) == list(range(n))
     float_only = NetPoints(5, 6, pts.points)
-    assert np.array_equal(stratum_indices(float_only), strata)
+    assert np.array_equal(float_only.strata, pts.strata)

@@ -10,12 +10,13 @@ from scramble_reference import (
     _apply_nested,
     _digit_values,
     _draw_matrix,
+    input_digits,
     reference_digits,
     reference_points,
 )
 
 from rqmc_median.digits import default_depth
-from rqmc_median.nets import NetPoints, is_net, stratum_indices, van_der_corput_net
+from rqmc_median.nets import NetPoints, is_net, van_der_corput_net
 from rqmc_median.scramble import (
     LINEAR_KINDS,
     RandomStream,
@@ -41,7 +42,7 @@ def _identity_tables(base, m):
 
 def test_nested_identity_permutations_fix_input():
     net = van_der_corput_net(2, 3)
-    digmat = net.digits(10)
+    digmat = input_digits(net, 10)
     out = _apply_nested(digmat, 2, _identity_tables(2, 3), np.zeros((8, 7), np.uint8))
     assert np.array_equal(out, digmat)
 
@@ -78,10 +79,10 @@ def test_nested_rejects_non_net_input():
 
 def test_jittered_degenerate_streams():
     net = van_der_corput_net(2, 2)
-    left = _jittered_points(stratum_indices(net), np.zeros(4))
+    left = _jittered_points(net.strata, np.zeros(4))
     # stratum order of the radical-inverse net is (0, 2, 1, 3)
     assert left.tolist() == [0.0, 0.5, 0.25, 0.75]
-    mid = _jittered_points(stratum_indices(net), np.full(4, 0.5))
+    mid = _jittered_points(net.strata, np.full(4, 0.5))
     assert sorted(mid.tolist()) == [0.125, 0.375, 0.625, 0.875]
 
 
@@ -104,7 +105,7 @@ def test_jittered_offsets_uniform():
 
 def test_linear_identity_matrix_fixes_input():
     net = van_der_corput_net(2, 3)
-    digmat = net.digits(6)
+    digmat = input_digits(net, 6)
     out = _apply_linear(digmat, 2, np.eye(6, dtype=np.int64), None)
     assert np.array_equal(out, digmat)
 
@@ -305,17 +306,20 @@ def test_points_must_fit_their_integer_types():
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 @pytest.mark.parametrize("base", [2, 3])
 def test_other_nets_match_reference(kind, base):
-    # nets other than the van der Corput net take the digit-matrix path:
-    # reordered, off the b**-m grid, or an equal copy of the van der Corput net
+    # nets other than the van der Corput net are read through their strata:
+    # reordered, off the b**-m grid, or an equal float-only copy
     vdc = van_der_corput_net(base, 2)
     off_grid = (np.arange(base**2) + np.linspace(0.9, 0.1, base**2)) / base**2
-    nets = [NetPoints(base, 2, vdc.points[::-1]), NetPoints(base, 2, off_grid),
-            NetPoints(base, 2, vdc.points)]
+    nets = [NetPoints(base, 2, vdc.points[::-1]), NetPoints(base, 2, vdc.points)]
     spec = ScramblerSpec(kind, base=base)
+    if kind in LINEAR_KINDS:  # a linear scramble acts on every digit: van der Corput points only
+        with pytest.raises(ValueError):
+            apply_scrambler(NetPoints(base, 2, off_grid), spec, RandomStream(5, 0))
+    else:
+        nets.append(NetPoints(base, 2, off_grid))
     for net in nets:
         for j in range(3):
             _check_against_reference(net, spec, RandomStream(5, j))
-    if base == 2:  # odd-base points are not exact doubles, so their expanded digits differ
-        same = apply_scrambler(nets[2], spec, RandomStream(5, 0)).points
-        assert same.tobytes() == apply_scrambler(vdc, spec, RandomStream(5, 0)).points.tobytes()
+    same = apply_scrambler(nets[1], spec, RandomStream(5, 0)).points
+    assert same.tobytes() == apply_scrambler(vdc, spec, RandomStream(5, 0)).points.tobytes()
 
