@@ -68,7 +68,7 @@ class ExperimentConfig:
 
         Scrambler and integrand names, the base and its pairing with each
         scrambler kind are checked by building the specs, which own those
-        rules.
+        rules; no m may exceed a spec's digit depth.
         """
         if self.mode not in _MODES:
             raise UsageError(f"unknown mode {self.mode!r}")
@@ -91,11 +91,15 @@ class ExperimentConfig:
         if self.mode == "convergence" and len(self.m_values) < 3:
             raise UsageError("convergence mode needs at least 3 m values")
         try:
-            for name in self.scramblers:
-                ScramblerSpec(name, base=self.base, shift=self.shift)
+            specs = [ScramblerSpec(name, base=self.base, shift=self.shift)
+                     for name in self.scramblers]
             fs = [builtin(name) for name in self.integrands]
         except ValueError as exc:
             raise UsageError(str(exc)) from None
+        for spec in specs:
+            if max(self.m_values) > spec.resolved_depth():
+                raise UsageError(f"m={max(self.m_values)} exceeds the {spec.kind.value} "
+                                 f"digit depth {spec.resolved_depth()} in base {self.base}")
         zero_energy = [f.name for f in fs if f.exact_sigma2 <= 0]
         if self.mode == "histogram" and zero_energy:
             raise UsageError(f"integrand {zero_energy[0]!r} has zero gradient energy; "

@@ -22,6 +22,14 @@ at fixed tree nodes followed by uniform tail digits.  Any other net is read
 through its strata; a linear scramble, which acts on every digit, takes
 only the van der Corput points, in any order.
 
+Each scramble draws from its stream's own generator.  In base 2 every
+range is a power of two, so numpy's bounded integers (Lemire's method) and
+its Fisher-Yates swaps never reject and each draw is one fixed bit of a
+32-bit half of a PCG64 word: nested and linear scrambles read those bits
+straight off one `random_raw` call, the same draws `Generator.permuted` and
+`Generator.integers` would make.  Odd bases, where draws can reject, and
+jittered sampling call the `Generator` methods.
+
 All scramblers preserve the net property exactly at digit level and are pure
 functions of (net, spec, stream): repeated calls give bit-identical output.
 """
@@ -197,6 +205,16 @@ def _unit(codes: np.ndarray, base: int, depth: int) -> np.ndarray:
     return np.minimum(x, _BELOW_ONE, out=x)
 
 
+def _raw_words(rng: np.random.Generator, halves: int) -> np.ndarray:
+    """The words behind the next `halves` 32-bit draws of a fresh generator.
+
+    numpy's next_uint32 hands out each 64-bit PCG64 word low half first, so
+    a little-endian copy of the words lays out those halves, and the bytes
+    of each half low byte first, in draw order on any host.
+    """
+    return rng.bit_generator.random_raw((halves + 1) // 2).astype("<u8", copy=False)
+
+
 def _nested_codes(base: int, m: int, depth: int, rng: np.random.Generator,
                   source: np.ndarray | None) -> np.ndarray:
     """One row-wise permutation of the stacked level tables (the draws of one
@@ -207,41 +225,78 @@ def _nested_codes(base: int, m: int, depth: int, rng: np.random.Generator,
     simply a uniform digit: the tail draws supply those directly.  A net
     other than the van der Corput net follows the tree path of its `source`,
     the van der Corput point in the same stratum.
+
+    In base 2 no draw rejects, so the draws of `Generator.permuted` and
+    `Generator.integers` are read off the raw words: node table k swaps its
+    row iff bit 0 of half k is 0 (Fisher-Yates' one swap), and the tail
+    digits are bit 7 of the following bytes (Lemire's bounded uint8), from
+    half 2**m - 1 on, where the high half the odd node count left pending
+    is the tail's first buffer.  Odd bases call `Generator` itself.
     """
     node_index, tables = _layout(base, m)
     n, tail = base**m, depth - m
+    if base == 2:
+        nodes = n - 1
+        words = _raw_words(rng, nodes + -(-n * tail // 4))
+        kept = (words.view("<u4")[:nodes] & 1).astype(np.uint8)
+        tables = np.column_stack([kept ^ 1, kept])
+        tail_digits = words.view(np.uint8)[4 * nodes:4 * nodes + n * tail] >> 7
+    else:
+        if m:
+            tables = rng.permuted(tables, axis=1)
+        tail_digits = (rng.integers(0, base, size=(n, tail), dtype=np.uint8) if tail
+                       else np.empty((n, 0), dtype=np.uint8))
+    if source is not None:
+        node_index = node_index[source]
     digits = np.empty((n, depth), dtype=np.uint8)
-    if m:
-        if source is not None:
-            node_index = node_index[source]
-        digits[:, :m] = rng.permuted(tables, axis=1).ravel()[node_index]
-    if tail:
-        digits[:, m:] = rng.integers(0, base, size=(n, tail), dtype=np.uint8)
+    digits[:, :m] = tables.ravel()[node_index]
+    digits[:, m:] = tail_digits.reshape(n, tail)
     return _codes(digits, base)
 
 
-def _matrix_draws(kind: ScramblerKind, base: int, depth: int,
-                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray | None]:
-    """The draws of one scrambling matrix mod base, in stream order.
+def _linear_draws(spec: ScramblerSpec, depth: int, rng: np.random.Generator
+                  ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """The draws of one scrambling matrix mod b, then of the shift, in stream order.
 
     Diagonal entries are uniform on {1, ..., b-1}; free entries uniform on
     {0, ..., b-1}.  Draw order per family: matousek draws the diagonal then a
     full square block, of which only the strictly-lower part is used; tezuka
     draws its first column top-down; striped draws its column constants left
-    to right.  Returns the drawn vector and matousek's block.
+    to right.  Returns the drawn vector, matousek's block (else None) and the
+    shift (zeros when it is off).
+
+    In base 2 no draw rejects, so the draws of `Generator.integers` are read
+    off the raw words: a draw on {1} takes nothing from the stream, so the
+    diagonal, tezuka's first entry and striped's constants are ones, and
+    each free entry, then each shift digit, is bit 31 of the next 32-bit
+    half (Lemire's bounded integer on {0, 1}).  Odd bases call `Generator`.
     """
+    kind, base = spec.kind, spec.base
+    no_shift = np.zeros(depth, dtype=np.int64)
+    if base == 2:
+        free = {ScramblerKind.MATOUSEK: depth * depth, ScramblerKind.TEZUKA: depth - 1,
+                ScramblerKind.STRIPED: 0}[kind]
+        count = free + (depth if spec.shift else 0)
+        bits = (_raw_words(rng, count).view("<u4")[:count] >> 31).astype(np.int64)
+        vec, block = np.ones(depth, dtype=np.int64), None
+        if kind == ScramblerKind.MATOUSEK:
+            block = bits[:free].reshape(depth, depth)
+        elif kind == ScramblerKind.TEZUKA:
+            vec[1:] = bits[:free]
+        return vec, block, bits[free:] if spec.shift else no_shift
+    block = None
     if kind == ScramblerKind.MATOUSEK:
-        h = rng.integers(1, base, size=depth, dtype=np.int64)
-        return h, rng.integers(0, base, size=(depth, depth), dtype=np.int64)
-    if kind == ScramblerKind.TEZUKA:
-        col = np.empty(depth, dtype=np.int64)
-        col[0] = rng.integers(1, base)
+        vec = rng.integers(1, base, size=depth, dtype=np.int64)
+        block = rng.integers(0, base, size=(depth, depth), dtype=np.int64)
+    elif kind == ScramblerKind.TEZUKA:
+        vec = np.empty(depth, dtype=np.int64)
+        vec[0] = rng.integers(1, base)
         if depth > 1:
-            col[1:] = rng.integers(0, base, size=depth - 1, dtype=np.int64)
-        return col, None
-    if kind == ScramblerKind.STRIPED:
-        return rng.integers(1, base, size=depth, dtype=np.int64), None
-    raise ValueError(f"{kind.value} is not a linear scrambling kind")
+            vec[1:] = rng.integers(0, base, size=depth - 1, dtype=np.int64)
+    else:  # striped
+        vec = rng.integers(1, base, size=depth, dtype=np.int64)
+    shift = rng.integers(0, base, size=depth, dtype=np.int64) if spec.shift else no_shift
+    return vec, block, shift
 
 
 def _matrix_columns(kind: ScramblerKind, vec: np.ndarray, block: np.ndarray | None,
@@ -267,9 +322,7 @@ def _linear_codes(spec: ScramblerSpec, m: int, depth: int,
     a add a times column k of M to the points before them.
     """
     base = spec.base
-    vec, block = _matrix_draws(spec.kind, base, depth, rng)
-    shift = (rng.integers(0, base, size=depth, dtype=np.int64) if spec.shift
-             else np.zeros(depth, dtype=np.int64))
+    vec, block, shift = _linear_draws(spec, depth, rng)
     cols = _matrix_columns(spec.kind, vec, block, m)
     if base == 2:
         words = _codes(np.vstack([cols.T, shift]), base)  # the m columns, then the shift

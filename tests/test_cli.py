@@ -45,8 +45,11 @@ def test_linear_kind_rejects_nonprime_base(capsys):
     (["convergence", "--seed", "-1"], "seed"),
     (["variance", "--seed", "-1"], "seed"),
     (["acceptance", "--seed", "-1"], "seed"),
+    # m above the digit depth (53 in base 2); never try an m near 30..53, which really allocates
+    (["variance", "--scramblers", "nested", "--integrands", "f1", "--m", "54"], "depth 53"),
+    (["histogram", "--scramblers", "matousek,jittered", "--m", "2,60", "--r", "1"], "depth 53"),
 ], ids=["base-257", "base-1", "seed-histogram", "seed-convergence", "seed-variance",
-        "seed-acceptance"])
+        "seed-acceptance", "m-54-above-depth", "m-60-above-depth"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, text):
     assert main(argv + ["--reps", "3", "--out", str(tmp_path)]) == 2
     assert text in capsys.readouterr().err

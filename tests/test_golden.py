@@ -6,7 +6,10 @@ here means the streams, the scramblers, the estimators or the CSV format
 changed.  The base-3 and base-5 digests pin the uint64-code scramblers
 instead: their digits are those of 0.1.0, but a float may differ from
 0.1.0's by up to 2 ulps.  Each digest covers every CSV of one run: file
-name, then bytes, in sorted file-name order.
+name, then bytes, in sorted file-name order.  The two large-m base-2 runs (m up
+to 12, and m = 10 without the shift) were recorded while the scramblers
+still drew through `Generator.permuted` and `Generator.integers`, before
+they read the same draws off the raw PCG64 words.
 """
 
 import hashlib
@@ -53,6 +56,16 @@ RUNS = {
         ["histogram", "--scramblers", ALL_KINDS, "--integrands", "f1,f2",
          "--m", "0,2,3", "--r", "3", "--reps", "20", "--base", "3"],
         "a71afed020fbf939f7ed0a373aee812ad0192fc5fc3a105637f2fcc5672b110d",
+    ),
+    "convergence-large-m": (
+        ["convergence", "--scramblers", ALL_KINDS, "--integrands", "f1,f2",
+         "--m", "9,11,12", "--r", "5", "--reps", "2"],
+        "984797783fe00b99d87b76d2130e0133b2b69832a0c1e92a56c305e8c77b764a",
+    ),
+    "variance-m10-shift-off": (
+        ["variance", "--scramblers", "nested,matousek,tezuka,striped", "--integrands", "f1,f2",
+         "--m", "10", "--reps", "30", "--shift", "off"],
+        "6839850547fa7b78531c2f59b1ed796e3957209cc353ea0fcba951eae48c6b6e",
     ),
 }
 

@@ -267,13 +267,48 @@ def _check_against_reference(net, spec, rs):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
-@pytest.mark.parametrize("base", [2, 3, 5])
-@pytest.mark.parametrize("m", [0, 1, 3, 6])
+@pytest.mark.parametrize("m,base", [(m, base) for m in (0, 1, 3, 6) for base in (2, 3, 5)]
+                         + [(9, 2), (12, 2)])
 def test_scramblers_match_reference(kind, base, m):
     net = van_der_corput_net(base, m)
-    spec = ScramblerSpec(kind, base=base)
-    for j in range(3):
-        _check_against_reference(net, spec, RandomStream(2024, j))
+    depths, shifts = (None,), (True,)
+    if base == 2:  # where base 2 reads each draw off the raw words depends on m, depth and shift
+        depths = (None, max(m, 1), m + 1, 20)
+        shifts = (True, False) if kind in LINEAR_KINDS else (True,)
+    for depth in depths:
+        for shift in shifts:
+            spec = ScramblerSpec(kind, base=base, depth=depth, shift=shift)
+            for j in (0, 1, 2, 2**32 + 7):
+                _check_against_reference(net, spec, RandomStream(2024, j))
+
+
+def test_base2_draws_are_fixed_bits_of_the_raw_words():
+    # The base-2 scramblers read these draws off `random_raw` instead of
+    # calling Generator; that is exact only while numpy's bounded integers
+    # (Lemire's method) and its Fisher-Yates swap never reject a draw whose
+    # range is a power of two and take fixed bits of next_uint32.
+    note = ("numpy's bounded-integer algorithm (Lemire, via next_uint32 and buffered "
+            "bytes) or its permuted swap changed; the base-2 scramblers in "
+            "rqmc_median.scramble read their draws off the raw words by the old rules")
+    for j in range(4):
+        stream = RandomStream(77, j)  # each generator() call starts the stream afresh
+        words = stream.generator().bit_generator.random_raw(64)
+        halves = np.column_stack([words & 0xFFFFFFFF, words >> 32]).ravel()
+        stream_bytes = ((halves[:, None] >> np.arange(0, 32, 8, dtype=np.uint64)) & 0xFF).ravel()
+        assert np.array_equal(stream.generator().integers(0, 2, size=40, dtype=np.uint8),
+                              stream_bytes[:40] >> 7), note
+        assert np.array_equal(stream.generator().integers(0, 2, size=40, dtype=np.int64),
+                              halves[:40] >> 31), note
+        rng = stream.generator()
+        assert rng.integers(1, 2) == 1, note
+        assert np.array_equal(rng.integers(0, 2, size=3, dtype=np.int64), halves[:3] >> 31), note
+        rng = stream.generator()
+        rows = rng.permuted(np.tile(np.arange(2, dtype=np.uint8), (7, 1)), axis=1)
+        assert np.array_equal(rows[:, 1], halves[:7] & 1), note  # swapped iff bit 0 is 0
+        assert np.array_equal(rows[:, 0], 1 - rows[:, 1]), note
+        # 7 halves taken: the pending high half of word 3 is the next buffer
+        assert np.array_equal(rng.integers(0, 2, size=8, dtype=np.uint8),
+                              stream_bytes[28:36] >> 7), note
 
 
 @pytest.mark.parametrize("base", [2, 3, 5, 7, 11, 13])
@@ -306,20 +341,25 @@ def test_points_must_fit_their_integer_types():
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 @pytest.mark.parametrize("base", [2, 3])
 def test_other_nets_match_reference(kind, base):
+    for m in (2, 10) if base == 2 else (2,):
+        _check_other_nets(kind, base, m)
+
+
+def _check_other_nets(kind, base, m):
     # nets other than the van der Corput net are read through their strata:
     # reordered, off the b**-m grid, or an equal float-only copy
-    vdc = van_der_corput_net(base, 2)
-    off_grid = (np.arange(base**2) + np.linspace(0.9, 0.1, base**2)) / base**2
-    nets = [NetPoints(base, 2, vdc.points[::-1]), NetPoints(base, 2, vdc.points)]
+    vdc = van_der_corput_net(base, m)
+    n = base**m
+    off_grid = (np.arange(n) + np.linspace(0.9, 0.1, n)) / n
+    nets = [NetPoints(base, m, vdc.points[::-1]), NetPoints(base, m, vdc.points)]
     spec = ScramblerSpec(kind, base=base)
     if kind in LINEAR_KINDS:  # a linear scramble acts on every digit: van der Corput points only
         with pytest.raises(ValueError):
-            apply_scrambler(NetPoints(base, 2, off_grid), spec, RandomStream(5, 0))
+            apply_scrambler(NetPoints(base, m, off_grid), spec, RandomStream(5, 0))
     else:
-        nets.append(NetPoints(base, 2, off_grid))
+        nets.append(NetPoints(base, m, off_grid))
     for net in nets:
         for j in range(3):
             _check_against_reference(net, spec, RandomStream(5, j))
     same = apply_scrambler(nets[1], spec, RandomStream(5, 0)).points
     assert same.tobytes() == apply_scrambler(vdc, spec, RandomStream(5, 0)).points.tobytes()
-
