@@ -15,17 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stats
-from .estimators import estimates
+from .estimators import estimates, scrambles
 from .integrands import builtin
-from .nets import is_net, van_der_corput_net
-from .scramble import (
-    RandomStream,
-    ScramblerKind,
-    ScramblerSpec,
-    apply_scrambler,
-    derive_seed,
-    scramble_nested,
-)
+from .nets import is_net
+from .scramble import ScramblerKind, ScramblerSpec, derive_seed
 
 __all__ = ["CriterionResult", "metrics_csv", "run_acceptance"]
 
@@ -55,8 +48,7 @@ class _RunContext:
 
     def __init__(self, master_seed: int):
         self.master_seed = master_seed
-        self._cells: dict[tuple, dict] = {}
-        self._offsets: np.ndarray | None = None
+        self._cells: dict[tuple[ScramblerKind, int], np.ndarray] = {}
 
     def estimates(self, kind: ScramblerKind, m: int, count: int) -> dict[str, np.ndarray]:
         """Single-net estimates for streams 0..count-1 of one scrambler cell.
@@ -65,37 +57,14 @@ class _RunContext:
         are prefixes of larger ones and results do not depend on the order in
         which criteria run.
         """
-        key = (kind, m)
-        cell = self._cells.get(key)
-        if cell is None:
-            names = _TRACKED.get(key, _DEFAULT_TRACKED)
-            cell = {
-                "seed": derive_seed(self.master_seed, 0, _KIND_INDEX[kind], m),
-                "funcs": [builtin(n) for n in names],
-                "have": 0,
-                "vals": {n: np.empty(0) for n in names},
-            }
-            self._cells[key] = cell
-        if count > cell["have"]:
-            keys = [(cell["seed"], j) for j in range(cell["have"], count)]
-            new = estimates(cell["funcs"], ScramblerSpec(kind, base=2), m, keys)
-            cell["vals"] = {f.name: np.concatenate([cell["vals"][f.name], new[:, col]])
-                            for col, f in enumerate(cell["funcs"])}
-            cell["have"] = count
-        return {n: v[:count] for n, v in cell["vals"].items()}
-
-    def nested_offsets(self, m: int, reps: int) -> np.ndarray:
-        """Within-stratum offsets n*x - i of nested scrambles, shape (reps, n)."""
-        if self._offsets is None or self._offsets.shape[0] < reps:
-            seed = derive_seed(self.master_seed, 1, m)
-            pts = van_der_corput_net(2, m)
-            n = pts.n
-            off = np.empty((reps, n))
-            for j in range(reps):
-                net = scramble_nested(pts, RandomStream(seed, j))
-                off[j, net.strata] = net.points * n - net.strata
-            self._offsets = off
-        return self._offsets[:reps]
+        names = _TRACKED.get((kind, m), _DEFAULT_TRACKED)
+        cell = self._cells.get((kind, m), np.empty((0, len(names))))
+        if count > len(cell):
+            seed = derive_seed(self.master_seed, 0, _KIND_INDEX[kind], m)
+            keys = [(seed, j) for j in range(len(cell), count)]
+            new = estimates([builtin(n) for n in names], ScramblerSpec(kind, base=2), m, keys)
+            cell = self._cells[kind, m] = np.vstack([cell, new])
+        return dict(zip(names, cell[:count].T.copy()))
 
 
 def _ks_uniform(values: np.ndarray) -> float:
@@ -229,18 +198,12 @@ def _c7(ctx: _RunContext) -> CriterionResult:
     ok = True
     for kind in _KINDS:
         failures = 0
-        total = 0
         for b, m in grid:
-            spec = ScramblerSpec(kind, base=b)
-            pts = van_der_corput_net(b, m)
             seed = derive_seed(ctx.master_seed, 2, _KIND_INDEX[kind], b, m)
-            for j in range(per_cell):
-                out = apply_scrambler(pts, spec, RandomStream(seed, j))
-                total += 1
-                if not is_net(out):
-                    failures += 1
+            nets = scrambles(ScramblerSpec(kind, base=b), m, [(seed, j) for j in range(per_cell)])
+            failures += sum(not is_net(net) for net in nets)
         measured[f"failures_{kind.value}"] = failures
-        measured[f"total_{kind.value}"] = total
+        measured[f"total_{kind.value}"] = per_cell * len(grid)
         ok = ok and failures == 0
     return CriterionResult(7, "net-preservation", ok, measured,
                            "scrambled outputs must all satisfy the net property")
@@ -248,7 +211,14 @@ def _c7(ctx: _RunContext) -> CriterionResult:
 
 def _c8(ctx: _RunContext) -> CriterionResult:
     """Nested scrambling behaves as jittered sampling: iid uniform offsets."""
-    off = ctx.nested_offsets(4, 10_000)
+    m, reps = 4, 10_000
+    n = 2**m
+    seed = derive_seed(ctx.master_seed, 1, m)
+    off = np.empty((reps, n))  # within-stratum offsets n*x - i
+    nets = scrambles(ScramblerSpec(ScramblerKind.NESTED, base=2), m,
+                     [(seed, j) for j in range(reps)])
+    for j, net in enumerate(nets):
+        off[j, net.strata] = net.points * n - net.strata
     ks_max = max(_ks_uniform(off[:, s]) for s in range(off.shape[1]))
     corr = np.corrcoef(off, rowvar=False)
     np.fill_diagonal(corr, 0.0)

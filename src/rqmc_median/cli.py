@@ -287,7 +287,7 @@ def run_variance_mode(cfg: ExperimentConfig) -> int:
     for cell in _cells(cfg):
         cell = replace(cell, r=cfg.repetitions)
         seed = derive_seed(cfg.master_seed, cell.index, 0)
-        est = np.asarray(replicate_batch(cell.f, cell.spec, cell.m, cell.r, seed).estimates)
+        est = replicate_batch(cell.f, cell.spec, cell.m, cell.r, seed)
         lines += [cell.row(rep, val, 0.0, "raw", seed) for rep, val in enumerate(est)]
         emp = float(np.var(est, ddof=1)) if cfg.repetitions > 1 else 0.0
         theo = cell.f.exact_sigma2 / cell.n**3

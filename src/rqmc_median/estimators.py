@@ -1,14 +1,13 @@
 """Single-net, average-of-replicates, and median-of-replicates estimators.
 
-`estimates` is the one replicate loop: every estimate in the library comes
-from it.
+`scrambles` is the one replicate loop: every scramble in the library, and
+so every estimate, comes from it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -17,33 +16,13 @@ from .nets import NetPoints, van_der_corput_net
 from .scramble import RandomStream, ScramblerSpec, apply_scrambler
 
 __all__ = [
-    "ReplicateBatch",
     "average_estimator",
     "estimates",
     "median_estimator",
     "q_estimate",
     "replicate_batch",
+    "scrambles",
 ]
-
-
-@dataclass(frozen=True)
-class ReplicateBatch:
-    """r independent single-net estimates of one integral.
-
-    Replicate j (0-based) was produced with stream_id = j under
-    `master_seed`, so any replicate is reproducible in isolation.
-    """
-
-    estimates: tuple[float, ...]
-    n_points: int
-    r: int
-    scrambler: ScramblerSpec
-    integrand: str
-    master_seed: int
-
-    def __post_init__(self):
-        if self.r < 1 or len(self.estimates) != self.r:
-            raise ValueError("estimates length must equal r >= 1")
 
 
 def q_estimate(f: IntegrandSpec, pts: NetPoints) -> float:
@@ -52,35 +31,48 @@ def q_estimate(f: IntegrandSpec, pts: NetPoints) -> float:
     return math.fsum(np.asarray(vals).tolist()) / pts.n
 
 
-def estimates(fs: Sequence[IntegrandSpec], spec: ScramblerSpec, m: int,
-              keys: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Single-net estimates, shape (len(keys), len(fs)).
+def scrambles(spec: ScramblerSpec, m: int,
+              keys: Iterable[tuple[int, int]]) -> Iterator[NetPoints]:
+    """One scramble of the (spec.base, m) van der Corput net per key.
 
-    Row j scrambles the (spec.base, m) van der Corput net with stream
-    keys[j] = (master_seed, stream_id) and averages every integrand over the
-    same points.
+    Key (master_seed, stream_id) draws from its own stream, so any
+    replicate can be reproduced on its own.
     """
     pts = van_der_corput_net(spec.base, m)
+    for seed, stream in keys:
+        yield apply_scrambler(pts, spec, RandomStream(seed, stream))
+
+
+def estimates(fs: Sequence[IntegrandSpec], spec: ScramblerSpec, m: int,
+              keys: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Single-net estimates, shape (len(keys), len(fs)): row j averages every
+    integrand over the same scramble, the one of keys[j]."""
     out = np.empty((len(keys), len(fs)))
-    for j, (seed, stream) in enumerate(keys):
-        scrambled = apply_scrambler(pts, spec, RandomStream(seed, stream))
-        out[j] = [q_estimate(f, scrambled) for f in fs]
+    for j, net in enumerate(scrambles(spec, m, keys)):
+        out[j] = [q_estimate(f, net) for f in fs]
     return out
 
 
 def replicate_batch(f: IntegrandSpec, spec: ScramblerSpec, m: int, r: int,
-                    master_seed: int) -> ReplicateBatch:
-    """r independent scrambled-net estimates, one stream per replicate."""
+                    master_seed: int) -> np.ndarray:
+    """r independent scrambled-net estimates, shape (r,); replicate j is
+    stream (master_seed, j)."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    est = estimates([f], spec, m, [(master_seed, j) for j in range(r)])[:, 0]
-    return ReplicateBatch(tuple(est.tolist()), spec.base**m, r, spec, f.name, master_seed)
+    return estimates([f], spec, m, [(master_seed, j) for j in range(r)])[:, 0]
 
 
-def average_estimator(batch: ReplicateBatch) -> float:
-    return math.fsum(batch.estimates) / batch.r
+def _check_nonempty(values: Sequence[float]):
+    if len(values) == 0:
+        raise ValueError("need at least one estimate")
 
 
-def median_estimator(batch: ReplicateBatch) -> float:
+def average_estimator(values: Sequence[float]) -> float:
+    _check_nonempty(values)
+    return math.fsum(values) / len(values)
+
+
+def median_estimator(values: Sequence[float]) -> float:
     """Sample median; for even r, the midpoint of the two central order statistics."""
-    return float(np.median(batch.estimates))
+    _check_nonempty(values)
+    return float(np.median(values))

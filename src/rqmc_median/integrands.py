@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["IntegrandSpec", "builtin", "builtin_names"]
+__all__ = ["IntegrandSpec", "builtin"]
 
 
 @dataclass(frozen=True)
@@ -56,10 +56,6 @@ _BUILTINS = {
         exact_sigma2=0.0,
     ),
 }
-
-
-def builtin_names() -> tuple[str, ...]:
-    return tuple(_BUILTINS)
 
 
 def builtin(name: str) -> IntegrandSpec:

@@ -417,7 +417,9 @@ def scramble_linear(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> Ne
 
 
 def apply_scrambler(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> NetPoints:
-    """Dispatch on spec.kind: one scramble of one net."""
+    """Dispatch on spec.kind: one scramble of one net in base spec.base."""
+    if spec.base != pts.base:
+        raise ValueError(f"spec base {spec.base} does not match net base {pts.base}")
     if spec.kind == ScramblerKind.NESTED:
         return scramble_nested(pts, rs, spec.depth)
     if spec.kind == ScramblerKind.JITTERED:

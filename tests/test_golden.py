@@ -9,14 +9,17 @@ instead: their digits are those of 0.1.0, but a float may differ from
 name, then bytes, in sorted file-name order.  The two large-m base-2 runs (m up
 to 12, and m = 10 without the shift) were recorded while the scramblers
 still drew through `Generator.permuted` and `Generator.integers`, before
-they read the same draws off the raw PCG64 words.
+they read the same draws off the raw PCG64 words.  The two even-r runs and
+the acceptance digest (criteria 3, 7, 8 and 9, whose bytes criterion 10
+only compares between two passes of the same code) were recorded before
+criteria 7 and 8 took their scrambles from `estimators.scrambles`.
 """
 
 import hashlib
 
 import pytest
 
-from rqmc_median.cli import main
+from rqmc_median.cli import DEFAULT_SEED, main
 
 ALL_KINDS = "nested,jittered,matousek,tezuka,striped"
 SEED = "4242"
@@ -67,7 +70,21 @@ RUNS = {
          "--m", "10", "--reps", "30", "--shift", "off"],
         "6839850547fa7b78531c2f59b1ed796e3957209cc353ea0fcba951eae48c6b6e",
     ),
+    # even r: the median is the midpoint of the two central order statistics
+    "histogram-even-r": (
+        ["histogram", "--scramblers", ALL_KINDS, "--integrands", "f1,f2",
+         "--m", "1,4", "--r", "2,4", "--reps", "12"],
+        "dbf45112b7fbdc5c0a0c5b00e5c784d0daf8789548c2f3c6751b474e917baf13",
+    ),
+    "convergence-even-r": (
+        ["convergence", "--scramblers", ALL_KINDS, "--integrands", "f1,f2",
+         "--m", "2,3,5,7", "--r", "6", "--reps", "3"],
+        "d3f85c21fcc5d240873feb6a7ce701109dade2e0f4169a70e07eee9792d130e8",
+    ),
 }
+
+# acceptance_metrics.csv of criteria 3, 7, 8 and 9 at DEFAULT_SEED
+ACCEPTANCE_3789 = "4e8c1842d32f652c32dd88a638f1b805dc9296e94e5b4743c687d8f861bd8489"
 
 
 def _digest(out_dir) -> str:
@@ -83,3 +100,11 @@ def test_golden_output(tmp_path, name):
     argv, expected = RUNS[name]
     assert main(argv + ["--seed", SEED, "--out", str(tmp_path)]) == 0
     assert _digest(tmp_path) == expected
+
+
+def test_golden_acceptance_subset(tmp_path):
+    argv = ["acceptance", "--criteria", "3,7,8,9", "--seed", str(DEFAULT_SEED),
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    data = (tmp_path / "acceptance_metrics.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == ACCEPTANCE_3789

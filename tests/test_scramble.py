@@ -198,6 +198,14 @@ def test_every_kind_preserves_net(kind, base, m):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_apply_scrambler_rejects_base_mismatch(kind):
+    for net_base, spec_base in ((3, 2), (2, 3)):
+        net = van_der_corput_net(net_base, 2)
+        with pytest.raises(ValueError, match="does not match net base"):
+            apply_scrambler(net, ScramblerSpec(kind, base=spec_base), RandomStream(1, 0))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_determinism_bit_identical(kind):
     net = van_der_corput_net(2, 4)
     spec = ScramblerSpec(kind, base=2)

@@ -41,7 +41,7 @@ def test_rescaled_jittered_linear_variance_is_one():
     f = builtin("linear")
     spec = ScramblerSpec(ScramblerKind.JITTERED, base=2)
     batch = replicate_batch(f, spec, 6, 10_000, master_seed=606)
-    sample = stats.rescale_single(batch.estimates, f.exact_integral,
+    sample = stats.rescale_single(batch, f.exact_integral,
                                   math.sqrt(f.exact_sigma2), 64)
     assert 0.97 <= np.var(sample.values, ddof=1) <= 1.03
 
