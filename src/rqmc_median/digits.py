@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -9,6 +10,7 @@ from fractions import Fraction
 __all__ = ["DigitVector", "default_depth", "expand", "value"]
 
 
+@functools.cache
 def default_depth(base: int) -> int:
     """Digit count at which base**-depth reaches a double's 53-bit resolution."""
     if base < 2:

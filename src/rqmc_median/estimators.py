@@ -25,10 +25,36 @@ __all__ = [
 ]
 
 
+_EXACT_SUM_MIN = 1024  # from this many values on, _exact_sum beats math.fsum on a list
+
+
+def _exact_sum(vals: np.ndarray) -> float:
+    """math.fsum(vals), the correctly rounded sum of a float64 array, in numpy.
+
+    A value is a 53-bit integer times 2**(e - 53): bincount sums its halves
+    below 2**27 and 2**26 per exponent exactly (n < 2**26), Python ints add the
+    buckets.  Non-finite values, values from 2**990 up (fsum's partials may
+    overflow) and zero sums (fsum sets their sign) go to math.fsum itself.
+    """
+    mant, exp = np.frexp(vals)
+    if not (np.isfinite(vals).all() and exp.max() <= 990 and len(vals) < 1 << 26):
+        return math.fsum(vals.tolist())
+    upper = np.trunc(mant * 2.0**27)
+    low = int(exp.min())
+    halves = (upper, mant * 2.0**53 - upper * 2.0**26)
+    sums = [np.bincount(exp - low, weights=half).tolist() for half in halves]
+    total = sum(((int(u) << 26) + int(l)) << k for k, (u, l) in enumerate(zip(*sums)))
+    if total == 0:
+        return math.fsum(vals.tolist())
+    return float(total << (low - 53)) if low >= 53 else total / (1 << (53 - low))
+
+
 def q_estimate(f: IntegrandSpec, pts: NetPoints) -> float:
-    """Equal-weight average of f over the points, compensated summation."""
-    vals = f.eval(pts.points)
-    return math.fsum(np.asarray(vals).tolist()) / pts.n
+    """Equal-weight average of f over the points: the correctly rounded sum
+    (the bits of math.fsum) over n, summed in numpy from _EXACT_SUM_MIN points on."""
+    vals = np.asarray(f.eval(pts.points))
+    fast = vals.dtype == np.float64 and len(vals) >= _EXACT_SUM_MIN
+    return (_exact_sum(vals) if fast else math.fsum(vals.tolist())) / pts.n
 
 
 def scrambles(spec: ScramblerSpec, m: int,

@@ -185,16 +185,21 @@ def _layout(base: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return node_index, tables
 
 
+def _packed(rows: np.ndarray) -> np.ndarray:
+    """uint64 codes of (k, 64) rows of bits, most significant first: one flat pack."""
+    return np.packbits(rows.reshape(-1)).view(">u8").astype(np.uint64)
+
+
 def _codes(digits: np.ndarray, base: int) -> np.ndarray:
-    """uint64 codes sum_k digits[..., k] * base**(width-1-k) of digit rows.
+    """uint64 codes sum_k digits[:, k] * base**(width-1-k) of digit rows.
 
     In base 2 each row, right-aligned in 64 digits, packs into one word.
     """
     width = digits.shape[-1]
     if base == 2:
-        rows = np.zeros(digits.shape[:-1] + (64,), dtype=np.uint8)
-        rows[..., 64 - width:] = digits
-        return np.packbits(rows, axis=-1).view(">u8")[..., 0].astype(np.uint64)
+        rows = np.zeros((len(digits), 64), dtype=np.uint8)
+        rows[:, 64 - width:] = digits
+        return _packed(rows)
     weights = base ** np.arange(width - 1, -1, -1, dtype=np.uint64)
     return np.einsum("...k,k->...", digits.astype(np.uint64, copy=False), weights)
 
@@ -234,24 +239,20 @@ def _nested_codes(base: int, m: int, depth: int, rng: np.random.Generator,
     is the tail's first buffer.  Odd bases call `Generator` itself.
     """
     node_index, tables = _layout(base, m)
+    if source is not None:
+        node_index = node_index[source]
     n, tail = base**m, depth - m
-    if base == 2:
+    if base == 2:  # the head and tail bits go straight into the packed rows
         nodes = n - 1
         words = _raw_words(rng, nodes + -(-n * tail // 4))
         kept = (words.view("<u4")[:nodes] & 1).astype(np.uint8)
-        tables = np.column_stack([kept ^ 1, kept])
-        tail_digits = words.view(np.uint8)[4 * nodes:4 * nodes + n * tail] >> 7
-    else:
-        if m:
-            tables = rng.permuted(tables, axis=1)
-        tail_digits = (rng.integers(0, base, size=(n, tail), dtype=np.uint8) if tail
-                       else np.empty((n, 0), dtype=np.uint8))
-    if source is not None:
-        node_index = node_index[source]
-    digits = np.empty((n, depth), dtype=np.uint8)
-    digits[:, :m] = tables.ravel()[node_index]
-    digits[:, m:] = tail_digits.reshape(n, tail)
-    return _codes(digits, base)
+        rows = np.zeros((n, 64), dtype=np.uint8)
+        rows[:, 64 - depth:64 - tail] = np.column_stack([kept ^ 1, kept]).ravel()[node_index]
+        tail_bytes = words.view(np.uint8)[4 * nodes:4 * nodes + n * tail].reshape(n, tail)
+        np.right_shift(tail_bytes, 7, out=rows[:, 64 - tail:])
+        return _packed(rows)
+    head = rng.permuted(tables, axis=1).ravel()[node_index]
+    return _codes(np.hstack([head, rng.integers(0, base, size=(n, tail), dtype=np.uint8)]), base)
 
 
 def _linear_draws(spec: ScramblerSpec, depth: int, rng: np.random.Generator
@@ -326,9 +327,9 @@ def _linear_codes(spec: ScramblerSpec, m: int, depth: int,
     cols = _matrix_columns(spec.kind, vec, block, m)
     if base == 2:
         words = _codes(np.vstack([cols.T, shift]), base)  # the m columns, then the shift
-        codes = words[m:]
+        codes = np.full(2**m, words[m])
         for k in range(m):
-            codes = np.concatenate([codes, codes ^ words[k]])
+            np.bitwise_xor(codes[:2**k], words[k], out=codes[2**k:2**(k + 1)])
         return codes
     small = np.min_scalar_type(2 * base - 2)  # holds a digit, or the sum of two
     digits = shift.astype(small)[None, :]
@@ -375,6 +376,8 @@ def _scrambled_codes(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> n
 
 def _scramble_net(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> NetPoints:
     """One scramble of one net; the output carries its exact strata."""
+    if spec.base != pts.base:  # every kind comes through here: the one base check
+        raise ValueError(f"spec base {spec.base} does not match net base {pts.base}")
     if not is_net(pts):
         raise ValueError("input points do not form a (0, m, 1)-net")
     base, m = pts.base, pts.m
@@ -383,23 +386,26 @@ def _scramble_net(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> NetP
         return NetPoints(base, m, _jittered_points(pts.strata, u), strata=pts.strata)
     depth = spec.resolved_depth()
     codes = _scrambled_codes(pts, spec, rs)
-    strata = (codes // np.uint64(base ** (depth - m))).astype(np.int64)
+    strata = (codes >> np.uint64(depth - m) if base == 2
+              else codes // np.uint64(base ** (depth - m))).astype(np.int64)
     return NetPoints(base, m, _unit(codes, base, depth), strata=strata)
 
 
-def scramble_nested(pts: NetPoints, rs: RandomStream, depth: int | None = None) -> NetPoints:
+def scramble_nested(pts: NetPoints, rs: RandomStream, depth: int | None = None, *,
+                    base: int | None = None) -> NetPoints:
     """Nested (permutation-tree) scrambling of a net.
 
     Digit k of every point is sent through a uniform random permutation
     keyed by the point's first k-1 digits; points sharing a prefix share the
-    permutation.  Output points keep the input index order.
+    permutation.  Output points keep the input index order.  A net in a base
+    other than `base` (default: the net's) is rejected.
     """
-    return _scramble_net(pts, ScramblerSpec(ScramblerKind.NESTED, pts.base, depth), rs)
+    return _scramble_net(pts, ScramblerSpec(ScramblerKind.NESTED, base or pts.base, depth), rs)
 
 
-def scramble_jittered(pts: NetPoints, rs: RandomStream) -> NetPoints:
+def scramble_jittered(pts: NetPoints, rs: RandomStream, *, base: int | None = None) -> NetPoints:
     """Jittered sampling: stratum i's point is redrawn uniformly on [i/n, (i+1)/n)."""
-    return _scramble_net(pts, ScramblerSpec(ScramblerKind.JITTERED, pts.base), rs)
+    return _scramble_net(pts, ScramblerSpec(ScramblerKind.JITTERED, base or pts.base), rs)
 
 
 def scramble_linear(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> NetPoints:
@@ -411,17 +417,13 @@ def scramble_linear(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> Ne
     """
     if spec.kind not in LINEAR_KINDS:
         raise ValueError(f"{spec.kind.value} is not a linear scrambling kind")
-    if spec.base != pts.base:
-        raise ValueError(f"spec base {spec.base} does not match net base {pts.base}")
     return _scramble_net(pts, spec, rs)
 
 
 def apply_scrambler(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> NetPoints:
     """Dispatch on spec.kind: one scramble of one net in base spec.base."""
-    if spec.base != pts.base:
-        raise ValueError(f"spec base {spec.base} does not match net base {pts.base}")
     if spec.kind == ScramblerKind.NESTED:
-        return scramble_nested(pts, rs, spec.depth)
+        return scramble_nested(pts, rs, spec.depth, base=spec.base)
     if spec.kind == ScramblerKind.JITTERED:
-        return scramble_jittered(pts, rs)
+        return scramble_jittered(pts, rs, base=spec.base)
     return scramble_linear(pts, spec, rs)

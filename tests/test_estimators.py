@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rqmc_median.estimators import (
+    _exact_sum,
     average_estimator,
     median_estimator,
     q_estimate,
@@ -26,6 +28,72 @@ def test_q_estimate_examples():
     direct = (0.0 + 0.5**1.5 + 0.25**1.5 + 0.75**1.5) / 4.0
     assert q_estimate(builtin("f1"), van_der_corput_net(2, 2)) == direct
     assert direct == pytest.approx(0.2820, abs=5e-5)
+
+
+def _outcome(fn, vals):
+    """The bits of fn(vals), or the type of the exception it raised."""
+    try:
+        return np.float64(fn(vals)).tobytes()
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def _fsum(vals):
+    return math.fsum(vals.tolist())
+
+
+@st.composite
+def _mixed_arrays(draw):
+    """Float64 arrays of 1-5000 values over a drawn number of binades, with
+    mixed signs, zeros, subnormals and exact cancellations mixed in."""
+    n = draw(st.integers(1, 5000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.sampled_from([0, 1, 60, 985, 1020]))
+    vals = np.ldexp(rng.uniform(0.5, 1.0, n), rng.integers(-spread, spread + 1, n))
+    if draw(st.booleans()):
+        vals *= rng.choice([-1.0, 1.0], n)
+    kind = rng.integers(0, draw(st.sampled_from([4, 20, 1000])), n)
+    vals[kind == 0] = 0.0
+    subnormal = kind == 1
+    vals[subnormal] = np.ldexp(rng.integers(-2**52, 2**52, subnormal.sum()).astype(float), -1074)
+    cancel = np.flatnonzero(kind[1:] == 2) + 1
+    vals[cancel] = -vals[cancel - 1]
+    return vals
+
+
+@settings(deadline=None, max_examples=200)
+@given(_mixed_arrays())
+@example(np.array([1e16] + [1.0] * 3000 + [-1e16]))
+@example(np.array([1e16, 1.0, -1e16, 0.5, 2.0**-60]))
+@example(np.full(4096, 0.1))
+@example(np.array([-0.0] * 2000))
+@example(np.array([5e-324] * 1500 + [-5e-324] * 1499))
+def test_exact_sum_is_fsum(vals):
+    assert _outcome(_exact_sum, vals) == _outcome(_fsum, vals)
+
+
+@settings(deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 60), elements=st.floats(width=64)))
+@example(np.array([math.inf, 1.0]))
+@example(np.array([math.inf, -math.inf]))
+@example(np.array([math.nan, 2.0]))
+@example(np.array([1e308, 1e308, -1e308]))
+@example(np.array([1.7e308, 1e292]))
+def test_exact_sum_is_fsum_on_any_floats(vals):
+    # every float64, infinities and NaN included: fsum's value or its exception
+    assert _outcome(_exact_sum, vals) == _outcome(_fsum, vals)
+
+
+@pytest.mark.parametrize("kind", ["nested", "matousek", "jittered"])
+def test_q_estimate_is_fsum_over_n_at_large_m(kind):
+    for m in (11, 12):
+        for j in range(2):
+            net = apply_scrambler(van_der_corput_net(2, m), ScramblerSpec(kind),
+                                  RandomStream(31, j))
+            for name in ("f1", "f2", "linear", "constant"):
+                f = builtin(name)
+                expected = math.fsum(f.eval(net.points).tolist()) / net.n
+                assert np.float64(q_estimate(f, net)).tobytes() == np.float64(expected).tobytes()
 
 
 def test_average_and_median_examples():

@@ -12,7 +12,10 @@ still drew through `Generator.permuted` and `Generator.integers`, before
 they read the same draws off the raw PCG64 words.  The two even-r runs and
 the acceptance digest (criteria 3, 7, 8 and 9, whose bytes criterion 10
 only compares between two passes of the same code) were recorded before
-criteria 7 and 8 took their scrambles from `estimators.scrambles`.
+criteria 7 and 8 took their scrambles from `estimators.scrambles`.  The
+large-m variance run, which takes every integrand through the row sums at
+n = 2048 and 4096, was recorded while `q_estimate` still called `math.fsum`
+on a Python list.
 """
 
 import hashlib
@@ -80,6 +83,12 @@ RUNS = {
         ["convergence", "--scramblers", ALL_KINDS, "--integrands", "f1,f2",
          "--m", "2,3,5,7", "--r", "6", "--reps", "3"],
         "d3f85c21fcc5d240873feb6a7ce701109dade2e0f4169a70e07eee9792d130e8",
+    ),
+    # n = 2048 and 4096 for every integrand: the row sums past the crossover
+    "variance-large-m": (
+        ["variance", "--scramblers", "nested,matousek,tezuka,striped,jittered",
+         "--integrands", "f1,f2,linear,constant", "--m", "11,12", "--reps", "12"],
+        "d4d7d172923ffe5745126997eb372abdc143c838b796877d11d7b0353a07b49e",
     ),
 }
 

@@ -11,7 +11,9 @@ this package.  Fixed seeds, m = 6, and two checks:
   30), so the standard error of a sample variance comes from the sample's
   own fourth moment: about 6 % for our 10 000 replicates and 9 % for
   scipy's 4 000, which cost 0.7 ms each;
-* a two-sample KS test of the two sides' estimates has p >= 0.001.
+* a two-sample KS test of the two sides' estimates has p >= 0.001, and so
+  does one of their medians of 15, cut from the same estimates (666
+  medians on our side, 266 on scipy's).
 """
 
 import pytest
@@ -45,10 +47,15 @@ def _relative_se_of_variance(est):
     return np.sqrt(kurt / r - (r - 3) / (r * (r - 1)))
 
 
-def test_matousek_matches_scipy_sobol():
+@pytest.fixture(scope="module")
+def both_sides():
     fs = [builtin("f1"), builtin("f2")]
     ours = estimates(fs, ScramblerSpec("matousek"), M, [(20251018, j) for j in range(10_000)])
-    theirs = _scipy_estimates(fs, 20251019, 4_000)
+    return fs, ours, _scipy_estimates(fs, 20251019, 4_000)
+
+
+def test_matousek_matches_scipy_sobol(both_sides):
+    fs, ours, theirs = both_sides
     n = 2**M
     for k, f in enumerate(fs):
         theory = f.exact_sigma2 / n**3
@@ -59,3 +66,15 @@ def test_matousek_matches_scipy_sobol():
                 f"{side} {f.name}: variance / (sigma^2/n^3) = {ratio:.3f}, standard error {se:.3f}")
         p = ks_2samp(ours[:, k], theirs[:, k]).pvalue
         assert p >= 1e-3, f"{f.name}: two-sample KS p = {p:.2e}"
+
+
+def _medians_of(est, r):
+    """Medians of consecutive, disjoint groups of r estimates."""
+    return np.median(est[:len(est) // r * r].reshape(-1, r), axis=1)
+
+
+def test_median_of_15_matches_scipy_sobol(both_sides):
+    fs, ours, theirs = both_sides
+    for k, f in enumerate(fs):
+        p = ks_2samp(_medians_of(ours[:, k], 15), _medians_of(theirs[:, k], 15)).pvalue
+        assert p >= 1e-3, f"{f.name}: two-sample KS p = {p:.2e} on the medians of 15"

@@ -261,13 +261,14 @@ def _code_digits(codes, base, depth):
 
 
 def _check_against_reference(net, spec, rs):
-    # floats bit for bit in base 2; digits exactly in the odd bases, where
-    # the float conversion may differ from the reference in the last ulp
+    # floats bit for bit in base 2 up to double resolution; digits exactly
+    # past it and in the odd bases, where the float conversion may differ
+    # from the reference in the last ulp
     out = apply_scrambler(net, spec, rs)
-    if net.base == 2 or spec.kind == ScramblerKind.JITTERED:
+    depth = spec.resolved_depth()
+    if (net.base == 2 and depth <= 53) or spec.kind == ScramblerKind.JITTERED:
         assert out.points.tobytes() == reference_points(net, spec, rs).tobytes()
         return
-    depth = spec.resolved_depth()
     codes = _scrambled_codes(net, spec, rs)
     assert np.array_equal(_code_digits(codes, net.base, depth), reference_digits(net, spec, rs))
     exact = np.array([float(Fraction(int(c), net.base**depth)) for c in codes])
@@ -275,13 +276,17 @@ def _check_against_reference(net, spec, rs):
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
-@pytest.mark.parametrize("m,base", [(m, base) for m in (0, 1, 3, 6) for base in (2, 3, 5)]
-                         + [(9, 2), (12, 2)])
-def test_scramblers_match_reference(kind, base, m):
+@pytest.mark.parametrize(
+    "m,base,depth",
+    [pytest.param(m, base, None, id=f"{m}-{base}") for m in (0, 1, 3, 6) for base in (2, 3, 5)]
+    + [pytest.param(m, 2, None, id=f"{m}-2") for m in (9, 12)]
+    # depth 63, the most a uint64 code holds: 63 of the 64 packed columns
+    + [pytest.param(m, 2, 63, id=f"{m}-2-depth63") for m in (1, 6, 12)])
+def test_scramblers_match_reference(kind, base, m, depth):
     net = van_der_corput_net(base, m)
     depths, shifts = (None,), (True,)
     if base == 2:  # where base 2 reads each draw off the raw words depends on m, depth and shift
-        depths = (None, max(m, 1), m + 1, 20)
+        depths = (None, max(m, 1), m + 1, 20) if depth is None else (depth,)
         shifts = (True, False) if kind in LINEAR_KINDS else (True,)
     for depth in depths:
         for shift in shifts:
