@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance, stats
+from .digits import default_depth
 from .estimators import median_estimator, replicate_batch
 from .integrands import IntegrandSpec, builtin
 from .scramble import ScramblerSpec, derive_seed
@@ -68,7 +69,7 @@ class ExperimentConfig:
 
         Scrambler and integrand names, the base and its pairing with each
         scrambler kind are checked by building the specs, which own those
-        rules; no m may exceed a spec's digit depth.
+        rules; no m may exceed the base's digit depth.
         """
         if self.mode not in _MODES:
             raise UsageError(f"unknown mode {self.mode!r}")
@@ -96,10 +97,9 @@ class ExperimentConfig:
             fs = [builtin(name) for name in self.integrands]
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        for spec in specs:
-            if max(self.m_values) > spec.resolved_depth():
-                raise UsageError(f"m={max(self.m_values)} exceeds the {spec.kind.value} "
-                                 f"digit depth {spec.resolved_depth()} in base {self.base}")
+        if max(self.m_values) > default_depth(self.base):
+            raise UsageError(f"m={max(self.m_values)} exceeds the digit depth "
+                             f"{default_depth(self.base)} in base {self.base}")
         zero_energy = [f.name for f in fs if f.exact_sigma2 <= 0]
         if self.mode == "histogram" and zero_energy:
             raise UsageError(f"integrand {zero_energy[0]!r} has zero gradient energy; "

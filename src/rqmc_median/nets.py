@@ -76,8 +76,6 @@ def van_der_corput_net(base: int, m: int) -> NetPoints:
     n = base**m
     if n > _MAX_POINTS:
         raise ValueError(f"net size {base}**{m} exceeds the supported index range")
-    if base > 256 and m > 0:
-        raise ValueError(f"base {base} is above 256, the largest base the scramblers take")
     quot = np.arange(n, dtype=np.int64)
     strata = np.zeros(n, dtype=np.int64)
     for _ in range(m):  # digit k of the point is the k-th least significant digit of i

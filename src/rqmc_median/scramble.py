@@ -12,15 +12,18 @@ stream:
   entries, Toeplitz, or constant columns), optionally followed by an
   additive random digit shift.
 
-A scrambled point is held as a uint64 code k with x = k / b**depth.  The
-van der Corput net, which every estimator scrambles, has digits that are
-zero past position m and point i carries the digits of i, so the net grows
-b-fold per digit.  A linear scramble of it needs only the first m columns
-of its matrix (in base 2 each column packs into one word and the scramble
-is m rounds of XOR), and a nested scramble is a gather of permuted digits
-at fixed tree nodes followed by uniform tail digits.  Any other net is read
-through its strata; a linear scramble, which acts on every digit, takes
-only the van der Corput points, in any order.
+Each takes (net, spec, stream) and rejects a spec of another kind;
+`apply_scrambler` dispatches on the spec.  A scrambled point is held as a
+uint64 code k with x = k / b**depth, where depth = default_depth(b) digits
+reach full double resolution in base b.  The van der Corput net, which
+every estimator scrambles, has digits that are zero past position m and
+point i carries the digits of i, so the net grows b-fold per digit.  A
+linear scramble of it needs only the first m columns of its matrix (in
+base 2 each column packs into one word and the scramble is m rounds of
+XOR), and a nested scramble is a gather of permuted digits at fixed tree
+nodes followed by uniform tail digits.  Any other net is read through its
+strata; a linear scramble, which acts on every digit, takes only the van
+der Corput points, in any order.
 
 Each scramble draws from its stream's own generator.  In base 2 every
 range is a power of two, so numpy's bounded integers (Lemire's method) and
@@ -37,7 +40,7 @@ functions of (net, spec, stream): repeated calls give bit-identical output.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -71,6 +74,8 @@ class ScramblerKind(str, Enum):
 LINEAR_KINDS = frozenset(
     {ScramblerKind.MATOUSEK, ScramblerKind.TEZUKA, ScramblerKind.STRIPED}
 )
+_NESTED = frozenset({ScramblerKind.NESTED})
+_JITTERED = frozenset({ScramblerKind.JITTERED})
 
 
 def _is_prime(n: int) -> bool:
@@ -86,22 +91,21 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class ScramblerSpec:
-    """Which randomization to apply.
+    """Which randomization to apply, in which base.
 
-    `depth` is the number of digits carried through the scramble (default:
-    full double resolution for the base); points are uint64 codes, so
-    base**depth must stay below 2**64, and digits are uint8, so the base is
-    at most 256.  `shift` adds a uniform random digit vector mod b after the
-    matrix and applies to linear kinds only; without it the point 0.0 is a
-    fixed point of every linear map and the one-point marginal is not
-    uniform.  Linear kinds need a prime base so the diagonal entries are
+    Digits are uint8, so the base is at most 256.  A scramble carries
+    `depth` = default_depth(base) digits, full double resolution in the
+    base; base**depth < base * 2**53 <= 2**61, so every point code fits a
+    uint64.  `shift` (keyword-only) adds a uniform random digit vector mod b
+    after the matrix and applies to linear kinds only; without it the point
+    0.0 is a fixed point of every linear map and the one-point marginal is
+    not uniform.  Linear kinds need a prime base so the diagonal entries are
     invertible mod b.
     """
 
     kind: ScramblerKind
     base: int = 2
-    depth: int | None = None
-    shift: bool = True
+    shift: bool = field(default=True, kw_only=True)
 
     def __post_init__(self):
         try:
@@ -111,18 +115,15 @@ class ScramblerSpec:
                              f"{', '.join(kind.value for kind in ScramblerKind)}") from None
         if not 2 <= self.base <= 256:
             raise ValueError(f"base must be in 2..256 (digits are uint8), got {self.base}")
-        if self.depth is not None and self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.base ** self.resolved_depth() >= 1 << 64:
-            raise ValueError(f"base**depth = {self.base}**{self.resolved_depth()} "
-                             "does not fit a 64-bit point code")
         if self.kind in LINEAR_KINDS and not _is_prime(self.base):
             raise ValueError(
                 f"{self.kind.value} scrambling needs a prime base, got {self.base}"
             )
 
-    def resolved_depth(self) -> int:
-        return self.depth if self.depth is not None else default_depth(self.base)
+    @property
+    def depth(self) -> int:
+        """Digits carried through a scramble: full double resolution in the base."""
+        return default_depth(self.base)
 
 
 @dataclass(frozen=True)
@@ -255,63 +256,46 @@ def _nested_codes(base: int, m: int, depth: int, rng: np.random.Generator,
     return _codes(np.hstack([head, rng.integers(0, base, size=(n, tail), dtype=np.uint8)]), base)
 
 
-def _linear_draws(spec: ScramblerSpec, depth: int, rng: np.random.Generator
-                  ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """The draws of one scrambling matrix mod b, then of the shift, in stream order.
+def _linear_columns(spec: ScramblerSpec, m: int, depth: int, rng: np.random.Generator
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The first m columns (depth, m) of one lower-triangular matrix mod b and
+    the shift (depth,), zeros when it is off.
 
-    Diagonal entries are uniform on {1, ..., b-1}; free entries uniform on
-    {0, ..., b-1}.  Draw order per family: matousek draws the diagonal then a
-    full square block, of which only the strictly-lower part is used; tezuka
-    draws its first column top-down; striped draws its column constants left
-    to right.  Returns the drawn vector, matousek's block (else None) and the
-    shift (zeros when it is off).
+    Draws in stream order: the diagonal entries, uniform on {1, ..., b-1},
+    then the free entries, uniform on {0, ..., b-1}, then the shift.
+    matousek draws its whole diagonal, then a full square block of which
+    only the strictly-lower part is used; tezuka draws its first column
+    top-down, one diagonal entry then the free ones, and is constant along
+    each diagonal; striped draws its column constants left to right as its
+    diagonal and has constant columns.
 
     In base 2 no draw rejects, so the draws of `Generator.integers` are read
-    off the raw words: a draw on {1} takes nothing from the stream, so the
-    diagonal, tezuka's first entry and striped's constants are ones, and
-    each free entry, then each shift digit, is bit 31 of the next 32-bit
-    half (Lemire's bounded integer on {0, 1}).  Odd bases call `Generator`.
+    off the raw words: a draw on {1} takes nothing from the stream, so every
+    diagonal entry is one, and each free entry, then each shift digit, is
+    bit 31 of the next 32-bit half (Lemire's bounded integer on {0, 1}).
+    Odd bases call `Generator`.
     """
     kind, base = spec.kind, spec.base
-    no_shift = np.zeros(depth, dtype=np.int64)
+    diagonal, free = {ScramblerKind.MATOUSEK: (depth, depth * depth),
+                      ScramblerKind.TEZUKA: (1, depth - 1), ScramblerKind.STRIPED: (depth, 0)}[kind]
+    shifted = depth if spec.shift else 0
     if base == 2:
-        free = {ScramblerKind.MATOUSEK: depth * depth, ScramblerKind.TEZUKA: depth - 1,
-                ScramblerKind.STRIPED: 0}[kind]
-        count = free + (depth if spec.shift else 0)
-        bits = (_raw_words(rng, count).view("<u4")[:count] >> 31).astype(np.int64)
-        vec, block = np.ones(depth, dtype=np.int64), None
-        if kind == ScramblerKind.MATOUSEK:
-            block = bits[:free].reshape(depth, depth)
-        elif kind == ScramblerKind.TEZUKA:
-            vec[1:] = bits[:free]
-        return vec, block, bits[free:] if spec.shift else no_shift
-    block = None
+        diag = np.ones(diagonal, dtype=np.int64)
+        bits = _raw_words(rng, free + shifted).view("<u4")[:free + shifted] >> 31
+        entries, shift = np.split(bits.astype(np.int64), [free])
+    else:
+        diag = rng.integers(1, base, size=diagonal, dtype=np.int64)
+        entries = rng.integers(0, base, size=free, dtype=np.int64)
+        shift = rng.integers(0, base, size=shifted, dtype=np.int64)
+    offset = np.arange(depth)[:, None] - np.arange(m)[None, :]  # row - column
     if kind == ScramblerKind.MATOUSEK:
-        vec = rng.integers(1, base, size=depth, dtype=np.int64)
-        block = rng.integers(0, base, size=(depth, depth), dtype=np.int64)
-    elif kind == ScramblerKind.TEZUKA:
-        vec = np.empty(depth, dtype=np.int64)
-        vec[0] = rng.integers(1, base)
-        if depth > 1:
-            vec[1:] = rng.integers(0, base, size=depth - 1, dtype=np.int64)
-    else:  # striped
-        vec = rng.integers(1, base, size=depth, dtype=np.int64)
-    shift = rng.integers(0, base, size=depth, dtype=np.int64) if spec.shift else no_shift
-    return vec, block, shift
-
-
-def _matrix_columns(kind: ScramblerKind, vec: np.ndarray, block: np.ndarray | None,
-                    m: int) -> np.ndarray:
-    """First m columns (depth, m) of the lower-triangular matrix drawn as
-    `vec` (depth,) and, for matousek, `block` (depth, depth)."""
-    offset = np.arange(len(vec))[:, None] - np.arange(m)[None, :]  # row - column
-    if kind == ScramblerKind.MATOUSEK:
-        cols = np.where(offset > 0, block[:, :m], 0)
-        cols[np.arange(m), np.arange(m)] = vec[:m]
-        return cols
-    if kind == ScramblerKind.TEZUKA:  # constant along each diagonal
-        return np.where(offset >= 0, vec[np.maximum(offset, 0)], 0)
-    return np.where(offset >= 0, vec[None, :m], 0)  # striped: constant columns
+        cols = np.where(offset > 0, entries.reshape(depth, depth)[:, :m], 0)
+        cols[np.arange(m), np.arange(m)] = diag[:m]
+    elif kind == ScramblerKind.TEZUKA:  # entry (i, j) is entry i - j of the first column
+        cols = np.where(offset >= 0, np.concatenate([diag, entries])[np.maximum(offset, 0)], 0)
+    else:
+        cols = np.where(offset >= 0, diag[:m], 0)
+    return cols, shift if spec.shift else np.zeros(depth, dtype=np.int64)
 
 
 def _linear_codes(spec: ScramblerSpec, m: int, depth: int,
@@ -323,8 +307,7 @@ def _linear_codes(spec: ScramblerSpec, m: int, depth: int,
     a add a times column k of M to the points before them.
     """
     base = spec.base
-    vec, block, shift = _linear_draws(spec, depth, rng)
-    cols = _matrix_columns(spec.kind, vec, block, m)
+    cols, shift = _linear_columns(spec, m, depth, rng)
     if base == 2:
         words = _codes(np.vstack([cols.T, shift]), base)  # the m columns, then the shift
         codes = np.full(2**m, words[m])
@@ -356,10 +339,7 @@ def _scrambled_codes(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> n
     A net other than the van der Corput net is read through `source`, the
     van der Corput point in each point's stratum (digit reversal is an involution).
     """
-    base, m = pts.base, pts.m
-    depth = spec.resolved_depth()
-    if depth < m:
-        raise ValueError(f"depth {depth} below m={m} would destroy the net property")
+    base, m, depth = pts.base, pts.m, spec.depth
     vdc = van_der_corput_net(base, m)
     source = None
     if pts is not vdc:
@@ -374,38 +354,40 @@ def _scrambled_codes(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> n
     return codes if source is None else codes[source]
 
 
-def _scramble_net(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> NetPoints:
-    """One scramble of one net; the output carries its exact strata."""
+def _scramble_net(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream,
+                  kinds: frozenset[ScramblerKind]) -> NetPoints:
+    """One scramble of one net by a spec of one of `kinds`; the output carries
+    its exact strata."""
+    if spec.kind not in kinds:
+        raise ValueError(f"a {spec.kind.value} spec does not fit this scramble, which takes "
+                         f"{', '.join(sorted(kind.value for kind in kinds))}")
     if spec.base != pts.base:  # every kind comes through here: the one base check
         raise ValueError(f"spec base {spec.base} does not match net base {pts.base}")
     if not is_net(pts):
         raise ValueError("input points do not form a (0, m, 1)-net")
-    base, m = pts.base, pts.m
+    base, m, depth = pts.base, pts.m, spec.depth
     if spec.kind == ScramblerKind.JITTERED:
         u = rs.generator().random(pts.n)
         return NetPoints(base, m, _jittered_points(pts.strata, u), strata=pts.strata)
-    depth = spec.resolved_depth()
     codes = _scrambled_codes(pts, spec, rs)
     strata = (codes >> np.uint64(depth - m) if base == 2
               else codes // np.uint64(base ** (depth - m))).astype(np.int64)
     return NetPoints(base, m, _unit(codes, base, depth), strata=strata)
 
 
-def scramble_nested(pts: NetPoints, rs: RandomStream, depth: int | None = None, *,
-                    base: int | None = None) -> NetPoints:
+def scramble_nested(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> NetPoints:
     """Nested (permutation-tree) scrambling of a net.
 
     Digit k of every point is sent through a uniform random permutation
     keyed by the point's first k-1 digits; points sharing a prefix share the
-    permutation.  Output points keep the input index order.  A net in a base
-    other than `base` (default: the net's) is rejected.
+    permutation.  Output points keep the input index order.
     """
-    return _scramble_net(pts, ScramblerSpec(ScramblerKind.NESTED, base or pts.base, depth), rs)
+    return _scramble_net(pts, spec, rs, _NESTED)
 
 
-def scramble_jittered(pts: NetPoints, rs: RandomStream, *, base: int | None = None) -> NetPoints:
+def scramble_jittered(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> NetPoints:
     """Jittered sampling: stratum i's point is redrawn uniformly on [i/n, (i+1)/n)."""
-    return _scramble_net(pts, ScramblerSpec(ScramblerKind.JITTERED, base or pts.base), rs)
+    return _scramble_net(pts, spec, rs, _JITTERED)
 
 
 def scramble_linear(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> NetPoints:
@@ -415,15 +397,13 @@ def scramble_linear(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> Ne
     applied to every point of the net, which is what keeps the scrambled
     points a net with probability one.
     """
-    if spec.kind not in LINEAR_KINDS:
-        raise ValueError(f"{spec.kind.value} is not a linear scrambling kind")
-    return _scramble_net(pts, spec, rs)
+    return _scramble_net(pts, spec, rs, LINEAR_KINDS)
 
 
 def apply_scrambler(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> NetPoints:
     """Dispatch on spec.kind: one scramble of one net in base spec.base."""
     if spec.kind == ScramblerKind.NESTED:
-        return scramble_nested(pts, rs, spec.depth, base=spec.base)
+        return scramble_nested(pts, spec, rs)
     if spec.kind == ScramblerKind.JITTERED:
-        return scramble_jittered(pts, rs, base=spec.base)
+        return scramble_jittered(pts, spec, rs)
     return scramble_linear(pts, spec, rs)

@@ -110,7 +110,7 @@ def _apply_linear(digmat: np.ndarray, base: int, matrix: np.ndarray,
 
 def reference_digits(net, spec, rs) -> np.ndarray:
     """Scrambled digit matrix (n, depth) of one net for a nested or linear spec."""
-    base, m, depth = net.base, net.m, spec.resolved_depth()
+    base, m, depth = net.base, net.m, spec.depth
     digmat = input_digits(net, depth)
     rng = rs.generator()
     if spec.kind == ScramblerKind.NESTED:

@@ -15,7 +15,8 @@ only compares between two passes of the same code) were recorded before
 criteria 7 and 8 took their scrambles from `estimators.scrambles`.  The
 large-m variance run, which takes every integrand through the row sums at
 n = 2048 and 4096, was recorded while `q_estimate` still called `math.fsum`
-on a Python list.
+on a Python list.  The two odd-base shift-off runs were recorded while the
+linear kinds still drew their matrix and their shift in two separate steps.
 """
 
 import hashlib
@@ -89,6 +90,17 @@ RUNS = {
         ["variance", "--scramblers", "nested,matousek,tezuka,striped,jittered",
          "--integrands", "f1,f2,linear,constant", "--m", "11,12", "--reps", "12"],
         "d4d7d172923ffe5745126997eb372abdc143c838b796877d11d7b0353a07b49e",
+    ),
+    # odd-base linear kinds without the shift: the matrix draws alone
+    "variance-base3-shift-off": (
+        ["variance", "--scramblers", "matousek,tezuka,striped", "--integrands", "f1,f2",
+         "--m", "0,2,3", "--reps", "60", "--shift", "off", "--base", "3"],
+        "a67545f27880c0bd3d6173a4a1a9f2f157f4484a547738900e8064962e5f90f9",
+    ),
+    "variance-base5-shift-off": (
+        ["variance", "--scramblers", "matousek,tezuka,striped", "--integrands", "f1,f2",
+         "--m", "0,2,3", "--reps", "60", "--shift", "off", "--base", "5"],
+        "f03cae0c51458aefde4c78852499ff69d569e60b894cc89c360c9ef7ea4afc09",
     ),
 }
 

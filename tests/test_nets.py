@@ -62,8 +62,8 @@ def test_netpoints_validates_count():
 def test_net_size_guard():
     with pytest.raises(ValueError):
         van_der_corput_net(2, 63)
-    with pytest.raises(ValueError):  # above the largest base the scramblers take
-        van_der_corput_net(257, 1)
+    # ScramblerSpec alone limits the base (to 256); a net takes any base
+    assert van_der_corput_net(257, 1).strata.tolist() == list(range(257))
 
 
 def test_points_are_read_only():
