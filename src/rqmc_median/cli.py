@@ -69,7 +69,8 @@ class ExperimentConfig:
 
         Scrambler and integrand names, the base and its pairing with each
         scrambler kind are checked by building the specs, which own those
-        rules; no m may exceed the base's digit depth.
+        rules; no m may exceed the base's digit depth.  A repeated value, or
+        r in variance mode, would repeat or overwrite a cell's output.
         """
         if self.mode not in _MODES:
             raise UsageError(f"unknown mode {self.mode!r}")
@@ -89,6 +90,12 @@ class ExperimentConfig:
             raise UsageError("m values must be nonnegative and nonempty")
         if not self.r_values or any(r < 1 for r in self.r_values):
             raise UsageError("r values must be positive and nonempty")
+        for key, values in (("scramblers", self.scramblers), ("integrands", self.integrands),
+                            ("m", self.m_values), ("r", self.r_values)):
+            if len(set(values)) < len(values):
+                raise UsageError(f"{key} lists a value twice: {','.join(map(str, values))}")
+        if self.mode == "variance" and self.r_values != (1,):
+            raise UsageError("variance mode takes no r: its batch size is the repetitions")
         if self.mode == "convergence" and len(self.m_values) < 3:
             raise UsageError("convergence mode needs at least 3 m values")
         try:

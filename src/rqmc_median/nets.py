@@ -10,40 +10,28 @@ __all__ = ["NetPoints", "is_net", "van_der_corput_net"]
 
 _MAX_POINTS = 1 << 62  # reject sizes past a signed 64-bit index space
 
-# relative slack when deriving strata from floats: a boundary point stored as
-# a double can sit a few ulps below its stratum's left edge
-_STRATUM_TOL = 2.0**-50
-
 
 class NetPoints:
     """An ordered set of base**m points in [0, 1) claimed to be a (0, m, 1)-net.
 
     Instances are treated as immutable and hold two read-only arrays:
-    `points` (float64) and `strata` (int64), each point's stratum
-    floor(x * n).  Code that knows the strata exactly (net constructors,
-    scramblers) passes them; a float-only net reads them off the floats with
-    a few ulps of upward slack, so a boundary point whose double rounded low
-    still lands in its intended stratum (a point would need ~50 specific
-    digits to be misread, probability ~2**-50 per point).
+    `points` (float64) and `strata` (int64), each point's exact stratum
+    floor(x * n).  The strata are required: the code that builds a net (the
+    van der Corput constructor, the scramblers) knows them exactly, where a
+    double on a stratum edge may have rounded into the stratum below.
     """
 
-    def __init__(self, base: int, m: int, points: np.ndarray,
-                 strata: np.ndarray | None = None):
+    def __init__(self, base: int, m: int, points: np.ndarray, strata: np.ndarray):
         if base < 2:
             raise ValueError(f"base must be >= 2, got {base}")
         if m < 0:
             raise ValueError(f"m must be >= 0, got {m}")
         n = base**m
         points = np.ascontiguousarray(points, dtype=np.float64)
-        if points.shape != (n,):
-            raise ValueError(f"expected {n} points for base {base}, m {m}, got shape {points.shape}")
-        if strata is None:
-            with np.errstate(all="ignore"):  # a non-finite point fails is_net, not here
-                strata = np.floor(points * n + n * _STRATUM_TOL).astype(np.int64)
-        else:
-            strata = np.ascontiguousarray(strata, dtype=np.int64)
-            if strata.shape != (n,):
-                raise ValueError(f"expected {n} strata, got shape {strata.shape}")
+        strata = np.ascontiguousarray(strata, dtype=np.int64)
+        if points.shape != (n,) or strata.shape != (n,):
+            raise ValueError(f"expected {n} points and strata for base {base}, m {m}, got "
+                             f"shapes {points.shape} and {strata.shape}")
         for arr in (points, strata):
             arr.flags.writeable = False
         self.base = base
@@ -82,14 +70,12 @@ def van_der_corput_net(base: int, m: int) -> NetPoints:
         quot, digit = np.divmod(quot, base)
         strata = strata * base + digit
     pts = strata / n  # correctly rounded: strata and n are exact doubles below 2**53
-    return NetPoints(base, m, pts, strata=strata)
+    return NetPoints(base, m, pts, strata)
 
 
 def is_net(pts: NetPoints) -> bool:
-    """True iff each stratum [i/n, (i+1)/n) holds exactly one point.
-
-    x = 1.0 is outside the domain and makes the check fail.
-    """
+    """True iff every point lies in [0, 1), so x = 1.0 fails, and the strata
+    the net states, not read off its points, hold exactly one point each."""
     if pts._is_net is not None:
         return pts._is_net
     x = pts.points

@@ -13,17 +13,17 @@ stream:
   additive random digit shift.
 
 Each takes (net, spec, stream) and rejects a spec of another kind;
-`apply_scrambler` dispatches on the spec.  A scrambled point is held as a
-uint64 code k with x = k / b**depth, where depth = default_depth(b) digits
-reach full double resolution in base b.  The van der Corput net, which
-every estimator scrambles, has digits that are zero past position m and
-point i carries the digits of i, so the net grows b-fold per digit.  A
-linear scramble of it needs only the first m columns of its matrix (in
-base 2 each column packs into one word and the scramble is m rounds of
-XOR), and a nested scramble is a gather of permuted digits at fixed tree
-nodes followed by uniform tail digits.  Any other net is read through its
-strata; a linear scramble, which acts on every digit, takes only the van
-der Corput points, in any order.
+`apply_scrambler` dispatches on the spec.  In one dimension every digital
+(0, m, 1)-net in base b has the points i / b**m, in some order, so the
+only net scrambled is the van der Corput net (or an equal copy); any other
+net is rejected.  A scrambled point is held as a uint64 code k with
+x = k / b**depth, where depth = default_depth(b) digits reach full double
+resolution in base b.  The van der Corput net has digits that are zero
+past position m and point i carries the digits of i, so the net grows
+b-fold per digit.  A linear scramble of it needs only the first m columns
+of its matrix (in base 2 each column packs into one word and the scramble
+is m rounds of XOR), and a nested scramble is a gather of permuted digits
+at fixed tree nodes followed by uniform tail digits.
 
 Each scramble draws from its stream's own generator.  In base 2 every
 range is a power of two, so numpy's bounded integers (Lemire's method) and
@@ -221,16 +221,13 @@ def _raw_words(rng: np.random.Generator, halves: int) -> np.ndarray:
     return rng.bit_generator.random_raw((halves + 1) // 2).astype("<u8", copy=False)
 
 
-def _nested_codes(base: int, m: int, depth: int, rng: np.random.Generator,
-                  source: np.ndarray | None) -> np.ndarray:
+def _nested_codes(base: int, m: int, depth: int, rng: np.random.Generator) -> np.ndarray:
     """One row-wise permutation of the stacked level tables (the draws of one
     call per level, in level order), then the tail digits, one row per point.
 
     Every length-m prefix of a net is unique to one point, so digits past
     level m see each tree node exactly once and a permuted digit there is
-    simply a uniform digit: the tail draws supply those directly.  A net
-    other than the van der Corput net follows the tree path of its `source`,
-    the van der Corput point in the same stratum.
+    simply a uniform digit: the tail draws supply those directly.
 
     In base 2 no draw rejects, so the draws of `Generator.permuted` and
     `Generator.integers` are read off the raw words: node table k swaps its
@@ -240,8 +237,6 @@ def _nested_codes(base: int, m: int, depth: int, rng: np.random.Generator,
     is the tail's first buffer.  Odd bases call `Generator` itself.
     """
     node_index, tables = _layout(base, m)
-    if source is not None:
-        node_index = node_index[source]
     n, tail = base**m, depth - m
     if base == 2:  # the head and tail bits go straight into the packed rows
         nodes = n - 1
@@ -334,30 +329,16 @@ def _jittered_points(strata: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _scrambled_codes(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> np.ndarray:
-    """Codes of one nested or linear scramble of a net in base spec.base.
-
-    A net other than the van der Corput net is read through `source`, the
-    van der Corput point in each point's stratum (digit reversal is an involution).
-    """
-    base, m, depth = pts.base, pts.m, spec.depth
-    vdc = van_der_corput_net(base, m)
-    source = None
-    if pts is not vdc:
-        source = vdc.strata[pts.strata]
-        if spec.kind in LINEAR_KINDS and not np.array_equal(pts.points, vdc.points[source]):
-            raise ValueError(f"{spec.kind.value} scrambling takes only the van der Corput "
-                             "points, in any order")
-    rng = rs.generator()
+    """Codes of one nested or linear scramble of the van der Corput net pts."""
     if spec.kind == ScramblerKind.NESTED:
-        return _nested_codes(base, m, depth, rng, source)
-    codes = _linear_codes(spec, m, depth, rng)
-    return codes if source is None else codes[source]
+        return _nested_codes(pts.base, pts.m, spec.depth, rs.generator())
+    return _linear_codes(spec, pts.m, spec.depth, rs.generator())
 
 
 def _scramble_net(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream,
                   kinds: frozenset[ScramblerKind]) -> NetPoints:
-    """One scramble of one net by a spec of one of `kinds`; the output carries
-    its exact strata."""
+    """One scramble by a spec of one of `kinds` of the cached van der Corput
+    net, which `pts` must equal; the output carries its exact strata."""
     if spec.kind not in kinds:
         raise ValueError(f"a {spec.kind.value} spec does not fit this scramble, which takes "
                          f"{', '.join(sorted(kind.value for kind in kinds))}")
@@ -366,13 +347,16 @@ def _scramble_net(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream,
     if not is_net(pts):
         raise ValueError("input points do not form a (0, m, 1)-net")
     base, m, depth = pts.base, pts.m, spec.depth
+    vdc = van_der_corput_net(base, m)  # a copy built before an lru eviction is equal
+    if pts is not vdc and not np.array_equal(pts.points, vdc.points):
+        raise ValueError(f"scrambling takes only the van der Corput net in base {base}")
     if spec.kind == ScramblerKind.JITTERED:
-        u = rs.generator().random(pts.n)
-        return NetPoints(base, m, _jittered_points(pts.strata, u), strata=pts.strata)
-    codes = _scrambled_codes(pts, spec, rs)
+        u = rs.generator().random(vdc.n)
+        return NetPoints(base, m, _jittered_points(vdc.strata, u), vdc.strata)
+    codes = _scrambled_codes(vdc, spec, rs)
     strata = (codes >> np.uint64(depth - m) if base == 2
               else codes // np.uint64(base ** (depth - m))).astype(np.int64)
-    return NetPoints(base, m, _unit(codes, base, depth), strata=strata)
+    return NetPoints(base, m, _unit(codes, base, depth), strata)
 
 
 def scramble_nested(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> NetPoints:

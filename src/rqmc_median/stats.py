@@ -225,6 +225,8 @@ def fit_slope(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     errs = np.array([p[1] for p in points], dtype=np.float64)
     if np.any(errs <= 0.0):
         raise ValueError("slope fit needs strictly positive error values")
+    if np.all(ns == ns[0]):
+        raise ValueError("slope fit needs at least two distinct n")
     lx = np.log10(ns)
     ly = np.log10(errs)
     lx_c = lx - lx.mean()

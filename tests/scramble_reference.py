@@ -5,29 +5,42 @@ uint64-code scramblers in `rqmc_median.scramble` are checked against.  It
 draws from the same streams in the same order (one `permuted` call per tree
 level for nested scrambling), so in base 2 the scramblers must reproduce
 its floats bit for bit and in every base its digits exactly.
+
+`float_net` builds a net from floats alone, reading its strata off them.
 """
 
 import numpy as np
 
-from rqmc_median.digits import expand
+from rqmc_median.nets import NetPoints
 from rqmc_median.scramble import LINEAR_KINDS, ScramblerKind
+
+# relative slack when reading strata off floats: a boundary point stored as
+# a double can sit a few ulps below its stratum's left edge
+_STRATUM_TOL = 2.0**-50
+
+
+def float_net(base: int, m: int, points) -> NetPoints:
+    """A net whose strata are read off its floats, floor(x * n), with a few
+    ulps of upward slack, so a boundary point whose double rounded low still
+    lands in its intended stratum (a point would need ~50 specific digits to
+    be misread, probability ~2**-50 per point)."""
+    n = base**m
+    points = np.asarray(points, dtype=np.float64)
+    with np.errstate(all="ignore"):  # a non-finite point fails is_net, not here
+        strata = np.floor(points * n + n * _STRATUM_TOL).astype(np.int64)
+    return NetPoints(base, m, points, strata)
 
 
 def input_digits(net, depth: int) -> np.ndarray:
-    """Digit matrix (n, depth) of a net's points, most significant first.
-
-    A point on the b**-m grid (a van der Corput point, in any order) has the
-    m digits of its stratum and a zero tail; any other point is expanded
-    from its float by `digits.expand`, as 0.1.0 did.
-    """
+    """Digit matrix (n, depth) of a net's points on the b**-m grid (the van
+    der Corput points), most significant first: the m digits of each point's
+    stratum and a zero tail."""
     n = net.n
-    grid = np.rint(net.points * n)
     out = np.zeros((n, depth), dtype=np.uint8)
-    rest = grid.astype(np.int64)
+    rest = np.rint(net.points * n).astype(np.int64)
+    assert np.array_equal(rest / n, net.points), "points off the b**-m grid"
     for k in range(net.m - 1, -1, -1):
         rest, out[:, k] = np.divmod(rest, net.base)
-    for i in np.flatnonzero(grid / n != net.points):
-        out[i] = expand(net.points[i], net.base, depth).digits
     return out
 
 

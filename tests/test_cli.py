@@ -48,8 +48,19 @@ def test_linear_kind_rejects_nonprime_base(capsys):
     # m above the digit depth (53 in base 2); never try an m near 30..53, which really allocates
     (["variance", "--scramblers", "nested", "--integrands", "f1", "--m", "54"], "depth 53"),
     (["histogram", "--scramblers", "matousek,jittered", "--m", "2,60", "--r", "1"], "depth 53"),
+    # a repeated value would overwrite a cell file or repeat a cell's rows
+    (["histogram", "--scramblers", "nested,nested", "--m", "2"], "scramblers lists a value twice"),
+    (["variance", "--integrands", "f1,f2,f1", "--m", "2"], "integrands lists a value twice"),
+    (["histogram", "--m", "4,4"], "m lists a value twice"),
+    (["convergence", "--m", "4,4,4"], "m lists a value twice"),
+    (["histogram", "--m", "2", "--r", "3,3"], "r lists a value twice"),
+    # variance mode sets r to the repetitions: any other r repeats every cell
+    (["variance", "--m", "2", "--r", "1,15"], "variance mode takes no r"),
+    (["variance", "--m", "2", "--r", "15"], "variance mode takes no r"),
 ], ids=["base-257", "base-1", "seed-histogram", "seed-convergence", "seed-variance",
-        "seed-acceptance", "m-54-above-depth", "m-60-above-depth"])
+        "seed-acceptance", "m-54-above-depth", "m-60-above-depth", "repeated-scrambler",
+        "repeated-integrand", "repeated-m-histogram", "repeated-m-convergence", "repeated-r",
+        "variance-r-list", "variance-r-15"])
 def test_bad_input_is_usage_error(tmp_path, capsys, argv, text):
     assert main(argv + ["--reps", "3", "--out", str(tmp_path)]) == 2
     assert text in capsys.readouterr().err

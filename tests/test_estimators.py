@@ -23,7 +23,7 @@ SPEC = ScramblerSpec(ScramblerKind.NESTED, base=2)
 
 def test_q_estimate_examples():
     assert q_estimate(builtin("constant"), van_der_corput_net(2, 3)) == 1.0
-    mid = NetPoints(2, 2, np.array([0.125, 0.375, 0.625, 0.875]))
+    mid = NetPoints(2, 2, np.array([0.125, 0.375, 0.625, 0.875]), np.arange(4))
     assert q_estimate(builtin("linear"), mid) == 0.5
     direct = (0.0 + 0.5**1.5 + 0.25**1.5 + 0.75**1.5) / 4.0
     assert q_estimate(builtin("f1"), van_der_corput_net(2, 2)) == direct

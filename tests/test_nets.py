@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scramble_reference import float_net
+
 from rqmc_median.digits import int_digits
 from rqmc_median.nets import NetPoints, is_net, van_der_corput_net
 
@@ -40,23 +42,29 @@ def test_vdc_is_net(base, m):
 
 
 def test_is_net_examples():
-    assert is_net(NetPoints(2, 2, np.array([0.0, 0.5, 0.25, 0.75])))
-    assert not is_net(NetPoints(2, 2, np.array([0.0, 0.1, 0.2, 0.3])))
+    assert is_net(float_net(2, 2, [0.0, 0.5, 0.25, 0.75]))
+    assert not is_net(float_net(2, 2, [0.0, 0.1, 0.2, 0.3]))
     # unordered but one point per quarter
-    assert is_net(NetPoints(2, 2, np.array([0.99, 0.01, 0.51, 0.26])))
+    assert is_net(float_net(2, 2, [0.99, 0.01, 0.51, 0.26]))
+    # the stated strata decide, not strata read off the points
+    assert not is_net(NetPoints(2, 2, [0.0, 0.5, 0.25, 0.75], [0, 0, 1, 3]))
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [1.0, -0.1, np.nan, np.inf, -np.inf, 1e300])
 def test_is_net_rejects_out_of_range(bad):
-    # constructing the net must not warn on a non-finite or huge point
-    assert not is_net(NetPoints(2, 1, np.array([bad, 0.75])))
-    assert not is_net(NetPoints(2, 1, np.array([0.25, bad])))
+    # reading the strata off a non-finite or huge point must not warn
+    assert not is_net(float_net(2, 1, [bad, 0.75]))
+    assert not is_net(float_net(2, 1, [0.25, bad]))
 
 
 def test_netpoints_validates_count():
     with pytest.raises(ValueError):
-        NetPoints(2, 2, np.array([0.0, 0.5]))
+        NetPoints(2, 2, np.array([0.0, 0.5]), np.array([0, 2]))
+    with pytest.raises(ValueError):  # the strata are required, one per point
+        NetPoints(2, 2, np.array([0.0, 0.5, 0.25, 0.75]), np.array([0, 2]))
+    with pytest.raises(TypeError):
+        NetPoints(2, 2, np.array([0.0, 0.5, 0.25, 0.75]))
 
 
 def test_net_size_guard():
@@ -78,5 +86,5 @@ def test_stratum_indices_boundary_tolerance():
     n = 5**6
     pts = van_der_corput_net(5, 6)
     assert sorted(pts.strata.tolist()) == list(range(n))
-    float_only = NetPoints(5, 6, pts.points)
+    float_only = float_net(5, 6, pts.points)
     assert np.array_equal(float_only.strata, pts.strata)

@@ -10,6 +10,7 @@ from scramble_reference import (
     _apply_nested,
     _digit_values,
     _draw_matrix,
+    float_net,
     input_digits,
     reference_digits,
     reference_points,
@@ -18,7 +19,7 @@ from scramble_reference import (
 from rqmc_median.digits import default_depth
 from rqmc_median.estimators import estimates
 from rqmc_median.integrands import builtin
-from rqmc_median.nets import NetPoints, is_net, van_der_corput_net
+from rqmc_median.nets import is_net, van_der_corput_net
 from rqmc_median.scramble import (
     LINEAR_KINDS,
     RandomStream,
@@ -68,7 +69,7 @@ def test_nested_preserves_net_property_1000_streams():
 
 
 def test_nested_rejects_non_net_input():
-    bad = NetPoints(2, 2, np.array([0.0, 0.1, 0.2, 0.3]))
+    bad = float_net(2, 2, [0.0, 0.1, 0.2, 0.3])
     with pytest.raises(ValueError):
         scramble_nested(bad, NESTED, RandomStream(1, 0))
 
@@ -342,7 +343,7 @@ def test_points_below_one_in_every_base(base):
                 out = apply_scrambler(net, spec, RandomStream(base, j))
                 assert np.all(out.points < 1.0)
                 assert is_net(out)
-                assert is_net(NetPoints(base, m, out.points))  # strata read off the floats
+                assert is_net(float_net(base, m, out.points))  # strata read off the floats
 
 
 def test_points_must_fit_their_integer_types():
@@ -353,29 +354,33 @@ def test_points_must_fit_their_integer_types():
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 @pytest.mark.parametrize("base", [2, 3])
-def test_other_nets_match_reference(kind, base):
+def test_other_nets_rejected(kind, base):
     for m in (2, 10) if base == 2 else (2,):
         _check_other_nets(kind, base, m)
 
 
 def _check_other_nets(kind, base, m):
-    # nets other than the van der Corput net are read through their strata:
-    # reordered, off the b**-m grid, or an equal float-only copy
+    # only the van der Corput net is scrambled: a reordered net or one off the
+    # b**-m grid is rejected, though both are nets; an equal copy, float-only
+    # or built before the net cache was cleared, scrambles as the cached net
     vdc = van_der_corput_net(base, m)
     n = base**m
-    off_grid = (np.arange(n) + np.linspace(0.9, 0.1, n)) / n
-    nets = [NetPoints(base, m, vdc.points[::-1]), NetPoints(base, m, vdc.points)]
     spec = ScramblerSpec(kind, base=base)
-    if kind in LINEAR_KINDS:  # a linear scramble acts on every digit: van der Corput points only
-        with pytest.raises(ValueError):
-            apply_scrambler(NetPoints(base, m, off_grid), spec, RandomStream(5, 0))
-    else:
-        nets.append(NetPoints(base, m, off_grid))
-    for net in nets:
+    for points in (vdc.points[::-1], (np.arange(n) + np.linspace(0.9, 0.1, n)) / n):
+        net = float_net(base, m, points)
+        assert is_net(net)
+        with pytest.raises(ValueError, match="only the van der Corput net"):
+            apply_scrambler(net, spec, RandomStream(5, 0))
+    van_der_corput_net.cache_clear()
+    cached = van_der_corput_net(base, m)
+    assert cached is not vdc
+    for copy in (float_net(base, m, vdc.points), vdc):
         for j in range(3):
-            _check_against_reference(net, spec, RandomStream(5, j))
-    same = apply_scrambler(nets[1], spec, RandomStream(5, 0)).points
-    assert same.tobytes() == apply_scrambler(vdc, spec, RandomStream(5, 0)).points.tobytes()
+            out = apply_scrambler(copy, spec, RandomStream(5, j))
+            want = apply_scrambler(cached, spec, RandomStream(5, j))
+            assert out.points.tobytes() == want.points.tobytes()
+            assert out.strata.tobytes() == want.strata.tobytes()
+            _check_against_reference(copy, spec, RandomStream(5, j))
 
 
 # ---------------------------------------------------------------- striped

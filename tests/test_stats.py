@@ -211,6 +211,13 @@ def test_fit_slope_validation():
         stats.fit_slope([(16, 1.0), (64, 0.0), (256, 0.1)])
 
 
+def test_fit_slope_rejects_equal_n():
+    # equal n leave the slope undefined: a zero variance in log n, not a nan
+    with pytest.raises(ValueError, match="at least two distinct n"):
+        stats.fit_slope([(16, 0.1)] * 3)
+    stats.fit_slope([(16, 0.1), (16, 0.2), (64, 0.05)])  # two distinct n suffice
+
+
 @given(st.floats(min_value=1e-6, max_value=1e6))
 @settings(max_examples=40)
 def test_fit_slope_invariant_to_error_rescaling(c):
