@@ -29,73 +29,108 @@ __all__ = ["DEFAULT_SEED", "ExperimentConfig", "entry", "main"]
 DEFAULT_SEED = 20250809
 CSV_HEADER = "scrambler,integrand,base,m,N,r,rep,value,rescaled,kind,seed"
 
-_MODES = ("histogram", "convergence", "variance", "acceptance")
-
-# Settings are text wherever they come from: these defaults, then the config
-# file, then the flags, each overriding the last, all parsed the same way.
-_DEFAULTS = dict(base="2", seed=str(DEFAULT_SEED), out="results", shift="on",
-                 criteria=",".join(map(str, range(1, 11))))
-_MODE_DEFAULTS = {
-    "histogram": dict(scramblers="nested,matousek", integrands="f1,f2", m="4,6", r="1",
-                      reps="10000"),
-    "convergence": dict(scramblers="nested,matousek", integrands="f1,f2",
-                        m="4,5,6,7,8,9,10,11,12", r="101", reps="32"),
-    "variance": dict(scramblers="nested,jittered,matousek,tezuka,striped",
-                     integrands="f1,f2,linear", m="6", r="1", reps="10000"),
-    "acceptance": dict(scramblers="", integrands="", m="", r="", reps="0"),
-}
-
 
 class UsageError(Exception):
     pass
 
 
+def _names(text: str) -> tuple[str, ...]:
+    names = tuple(tok.strip() for tok in text.split(",") if tok.strip())
+    if not names:
+        raise argparse.ArgumentTypeError(f"expected a nonempty comma list, got {text!r}")
+    return names
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in _names(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from None
+
+
+def _on_off(text: str) -> bool:
+    if text.lower() not in ("on", "off"):
+        raise argparse.ArgumentTypeError(f"expected on or off, got {text!r}")
+    return text.lower() == "on"
+
+
+# Each mode's settings, exactly those it reads: flag, ExperimentConfig field,
+# type, default text, help.  A config-file key is the flag without its dashes;
+# its text replaces the default, a flag replaces both, and the type parses each.
+_SEED = ("--seed", "master_seed", int, str(DEFAULT_SEED), "master seed")
+_OUT = ("--out", "out_dir", Path, "results", "output directory")
+_BASE = ("--base", "base", int, "2", "net base")
+_SHIFT = ("--shift", "shift", _on_off, "on", "digital shift for linear kinds: on or off")
+_KINDS = "nested,jittered,matousek,tezuka,striped"
+_INTEGRANDS = "comma list: f1,f2,linear,constant"
+_M = "comma list of net exponents (n = base**m)"
+_SETTINGS = {
+    "histogram": (
+        ("--scramblers", "scramblers", _names, "nested,matousek", f"comma list: {_KINDS}"),
+        ("--integrands", "integrands", _names, "f1,f2", _INTEGRANDS),
+        ("--m", "m_values", _ints, "4,6", _M),
+        ("--r", "r_values", _ints, "1", "comma list of replicate counts per median"),
+        ("--reps", "repetitions", int, "10000", "repetitions per cell"),
+        _BASE, _SHIFT, _SEED, _OUT),
+    "convergence": (
+        ("--scramblers", "scramblers", _names, "nested,matousek", f"comma list: {_KINDS}"),
+        ("--integrands", "integrands", _names, "f1,f2", _INTEGRANDS),
+        ("--m", "m_values", _ints, "4,5,6,7,8,9,10,11,12", _M),
+        ("--r", "r_values", _ints, "101", "comma list of replicate counts per median"),
+        ("--reps", "repetitions", int, "32", "repetitions per cell"),
+        _BASE, _SHIFT, _SEED, _OUT),
+    "variance": (
+        ("--scramblers", "scramblers", _names, _KINDS, f"comma list: {_KINDS}"),
+        ("--integrands", "integrands", _names, "f1,f2,linear", _INTEGRANDS),
+        ("--m", "m_values", _ints, "6", _M),
+        ("--reps", "repetitions", int, "10000", "repetitions per cell, one batch"),
+        _BASE, _SHIFT, _SEED, _OUT),
+    "acceptance": (
+        ("--criteria", "criteria", _ints, "1,2,3,4,5,6,7,8,9,10", "criteria to run, e.g. 1,2,7"),
+        _SEED, _OUT),
+}
+
+
 @dataclass
 class ExperimentConfig:
+    """One mode's settings; a field the mode does not read keeps its empty default."""
+
     mode: str
+    master_seed: int
+    out_dir: Path
     scramblers: tuple[str, ...] = ()
     integrands: tuple[str, ...] = ()
-    base: int = 2
+    base: int = 0
     m_values: tuple[int, ...] = ()
     r_values: tuple[int, ...] = ()
     repetitions: int = 0
-    master_seed: int = DEFAULT_SEED
-    out_dir: Path = Path("results")
-    shift: bool = True
-    criteria: tuple[int, ...] = tuple(range(1, 11))
+    shift: bool = False
+    criteria: tuple[int, ...] = ()
 
     def validate(self):
         """Raise UsageError for bad settings before a run writes anything.
 
         Scrambler and integrand names, the base and its pairing with each
         scrambler kind are checked by building the specs, which own those
-        rules; no m may exceed the base's digit depth.  A repeated value, or
-        r in variance mode, would repeat or overwrite a cell's output.
+        rules; no m may exceed the base's digit depth.  A repeated value
+        would repeat or overwrite a cell's output.
         """
-        if self.mode not in _MODES:
-            raise UsageError(f"unknown mode {self.mode!r}")
         if self.master_seed < 0:
             raise UsageError(f"seed must be nonnegative, got {self.master_seed}")
         if self.mode == "acceptance":
-            if not self.criteria:
-                raise UsageError("empty criteria selection")
             if any(c not in range(1, 11) for c in self.criteria):
                 raise UsageError("criteria must be in 1..10")
             return
-        if not self.scramblers or not self.integrands:
-            raise UsageError("need at least one scrambler and one integrand")
         if self.repetitions < 1:
             raise UsageError("repetitions must be >= 1")
-        if not self.m_values or any(m < 0 for m in self.m_values):
-            raise UsageError("m values must be nonnegative and nonempty")
-        if not self.r_values or any(r < 1 for r in self.r_values):
-            raise UsageError("r values must be positive and nonempty")
+        if any(m < 0 for m in self.m_values):
+            raise UsageError("m values must be nonnegative")
+        if any(r < 1 for r in self.r_values):
+            raise UsageError("r values must be positive")
         for key, values in (("scramblers", self.scramblers), ("integrands", self.integrands),
                             ("m", self.m_values), ("r", self.r_values)):
             if len(set(values)) < len(values):
                 raise UsageError(f"{key} lists a value twice: {','.join(map(str, values))}")
-        if self.mode == "variance" and self.r_values != (1,):
-            raise UsageError("variance mode takes no r: its batch size is the repetitions")
         if self.mode == "convergence" and len(self.m_values) < 3:
             raise UsageError("convergence mode needs at least 3 m values")
         try:
@@ -113,12 +148,9 @@ class ExperimentConfig:
                              "rescaled errors are undefined")
 
 
-def _split(text: str) -> tuple[str, ...]:
-    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
-
-
-def _parse_config_file(path: Path) -> dict:
-    keys = {"scramblers", "integrands", "base", "m", "r", "reps", "seed", "out", "shift"}
+def _parse_config_file(path: Path, mode: str) -> dict[str, str]:
+    """The text a flat key = value file gives the mode's settings, by field."""
+    fields = {flag[2:]: field for flag, field, *_ in _SETTINGS[mode]}
     out = {}
     try:
         text = path.read_text(encoding="utf-8")
@@ -131,43 +163,10 @@ def _parse_config_file(path: Path) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in keys:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = val
+        if key not in fields:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r} in {mode} mode")
+        out[fields[key]] = val
     return out
-
-
-def build_config(args: argparse.Namespace) -> ExperimentConfig:
-    raw = {**_DEFAULTS, **_MODE_DEFAULTS[args.mode]}
-    if args.config:
-        raw.update(_parse_config_file(args.config))
-    raw.update((k, v) for k, v in vars(args).items() if k in raw and v is not None)
-    ints = {}
-    for key in ("base", "m", "r", "reps", "seed", "criteria"):
-        try:
-            ints[key] = tuple(int(tok) for tok in _split(raw[key]))
-        except ValueError:
-            raise UsageError(f"could not parse integers for {key}: {raw[key]!r}") from None
-        if key in ("base", "reps", "seed") and len(ints[key]) != 1:
-            raise UsageError(f"{key} takes one integer, got {raw[key]!r}")
-    shift = raw["shift"].lower()
-    if shift not in ("on", "off"):
-        raise UsageError(f"shift must be 'on' or 'off', got {shift!r}")
-    cfg = ExperimentConfig(
-        mode=args.mode,
-        scramblers=_split(raw["scramblers"]),
-        integrands=_split(raw["integrands"]),
-        base=ints["base"][0],
-        m_values=ints["m"],
-        r_values=ints["r"],
-        repetitions=ints["reps"][0],
-        master_seed=ints["seed"][0],
-        out_dir=Path(raw["out"]),
-        shift=shift == "on",
-        criteria=ints["criteria"],
-    )
-    cfg.validate()
-    return cfg
 
 
 @dataclass(frozen=True)
@@ -291,8 +290,7 @@ def run_variance_mode(cfg: ExperimentConfig) -> int:
     holds their ratio (0 when the theoretical variance is 0).
     """
     lines = [CSV_HEADER]
-    for cell in _cells(cfg):
-        cell = replace(cell, r=cfg.repetitions)
+    for cell in _cells(replace(cfg, r_values=(cfg.repetitions,))):
         seed = derive_seed(cfg.master_seed, cell.index, 0)
         est = replicate_batch(cell.f, cell.spec, cell.m, cell.r, seed)
         lines += [cell.row(rep, val, 0.0, "raw", seed) for rep, val in enumerate(est)]
@@ -332,37 +330,34 @@ _MODE_RUNNERS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and one subcommand parser per mode, from _SETTINGS."""
     parser = argparse.ArgumentParser(
-        prog="rqmc-median",
+        prog="rqmc-median", allow_abbrev=False,
         description="Scrambled-net experiments: error histograms, convergence "
                     "sweeps, variance tables, and the acceptance suite.")
-    parser.add_argument("mode", choices=_MODES)
-    parser.add_argument("--config", type=Path, help="flat key=value config file")
-    parser.add_argument("--seed", metavar="S", help="master seed (default 20250809)")
-    parser.add_argument("--out", help="output directory (default results/)")
-    parser.add_argument("--scramblers",
-                        help="comma list: nested,jittered,matousek,tezuka,striped")
-    parser.add_argument("--integrands", help="comma list: f1,f2,linear,constant")
-    parser.add_argument("--m", help="comma list of net exponents (n = base**m)")
-    parser.add_argument("--r", help="comma list of replicate counts")
-    parser.add_argument("--reps", help="repetitions per cell")
-    parser.add_argument("--base", help="net base (default 2)")
-    parser.add_argument("--shift", choices=["on", "off"],
-                        help="digital shift for linear kinds (default on)")
-    parser.add_argument("--criteria", help="acceptance subset, e.g. 1,2,7")
-    return parser
+    modes = parser.add_subparsers(dest="mode", required=True)
+    for mode, settings in _SETTINGS.items():
+        sub = modes.add_parser(mode, allow_abbrev=False)
+        sub.add_argument("--config", type=Path, metavar="FILE", help="flat key = value config file")
+        for flag, field, kind, default, text in settings:
+            sub.add_argument(flag, dest=field, type=kind, default=default,
+                             metavar=flag[2:].upper(), help=f"{text} (default {default})")
+    return parser, modes.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    parser, modes = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
-        cfg = build_config(args)
+        if args.config is not None:  # the file's text replaces the mode's defaults
+            modes[args.mode].set_defaults(**_parse_config_file(args.config, args.mode))
+            args = parser.parse_args(argv)
+        cfg = ExperimentConfig(**{k: v for k, v in vars(args).items() if k != "config"})
+        cfg.validate()
         return _MODE_RUNNERS[cfg.mode](cfg)
+    except SystemExit as exc:  # argparse printed the help or a usage error
+        return 2 if exc.code not in (0, None) else 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

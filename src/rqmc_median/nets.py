@@ -74,8 +74,10 @@ def van_der_corput_net(base: int, m: int) -> NetPoints:
 
 
 def is_net(pts: NetPoints) -> bool:
-    """True iff every point lies in [0, 1), so x = 1.0 fails, and the strata
-    the net states, not read off its points, hold exactly one point each."""
+    """True iff every point lies in [0, 1), so x = 1.0 fails, the strata the
+    net states hold exactly one point each, and each point lies within
+    2**-50 of the stratum it states (an odd-base double may round onto the
+    stratum's edge)."""
     if pts._is_net is not None:
         return pts._is_net
     x = pts.points
@@ -85,5 +87,6 @@ def is_net(pts: NetPoints) -> bool:
         strata = pts.strata
         ok = bool(np.all((strata >= 0) & (strata < n)))
         ok = ok and bool(np.all(np.bincount(strata, minlength=n) == 1))
+        ok = ok and bool(np.all(np.abs(x * n - strata - 0.5) <= 0.5 + 2.0**-50 * n))
     pts._is_net = ok
     return ok

@@ -163,24 +163,19 @@ def derive_seed(master_seed: int, *key: int) -> int:
 def _layout(base: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Fixed index arrays, read-only, of the nested tree over the (b, m) net.
 
-    Point i's first m digits are the base-b digits of i, least significant
-    first, so the net grows b-fold per digit: point i + a * b**k extends
-    point i < b**k by the digit a.  The tree has one node per digit prefix,
-    level-major and lexicographic within a level.  Returns `node_index`
-    (n, m), the flat index into the row-wise permuted tables of the entry
-    that maps point i's digit k, and `tables` (nodes, base), one identity
-    row per node.
+    The tree has one node per digit prefix, level-major and lexicographic
+    within a level, so level k starts at node (b**k - 1) / (b - 1).  At
+    level k a point's node is the first k digits of its stratum and its
+    entry there the next digit, so the flat entry index is the level's
+    first node times b plus the stratum's first k + 1 digits.  Returns
+    `node_index` (n, m), point i's flat entry index at each level into the
+    row-wise permuted tables, and `tables` (nodes, base), one identity row
+    per node.
     """
-    strata = np.zeros(1, dtype=np.int64)
-    node_index = np.zeros((1, 0), dtype=np.intp)
-    first = 0  # first node of level k
-    for k in range(m):
-        digit = np.arange(base)[:, None]
-        entry = (first + strata) * base + digit  # (b, b**k): digit a of point i + a * b**k
-        node_index = np.column_stack([np.tile(node_index, (base, 1)), entry.ravel()])
-        strata = (strata * base + digit).ravel()
-        first += base**k
-    tables = np.tile(np.arange(base, dtype=np.uint8), (first, 1))
+    k = np.arange(m)
+    node_index = ((base**k - 1) // (base - 1) * base
+                  + van_der_corput_net(base, m).strata[:, None] // base ** (m - 1 - k))
+    tables = np.tile(np.arange(base, dtype=np.uint8), ((base**m - 1) // (base - 1), 1))
     for arr in (node_index, tables):
         arr.flags.writeable = False
     return node_index, tables

@@ -39,47 +39,93 @@ def test_linear_kind_rejects_nonprime_base(capsys):
 
 
 @pytest.mark.parametrize("argv, text", [
-    (["variance", "--scramblers", "nested", "--base", "257"], "base"),
-    (["histogram", "--base", "1"], "base"),
-    (["histogram", "--seed", "-1"], "seed"),
-    (["convergence", "--seed", "-1"], "seed"),
-    (["variance", "--seed", "-1"], "seed"),
+    (["variance", "--scramblers", "nested", "--base", "257", "--reps", "3"], "base"),
+    (["histogram", "--base", "1", "--reps", "3"], "base"),
+    (["histogram", "--seed", "-1", "--reps", "3"], "seed"),
+    (["convergence", "--seed", "-1", "--reps", "3"], "seed"),
+    (["variance", "--seed", "-1", "--reps", "3"], "seed"),
     (["acceptance", "--seed", "-1"], "seed"),
     # m above the digit depth (53 in base 2); never try an m near 30..53, which really allocates
-    (["variance", "--scramblers", "nested", "--integrands", "f1", "--m", "54"], "depth 53"),
-    (["histogram", "--scramblers", "matousek,jittered", "--m", "2,60", "--r", "1"], "depth 53"),
+    (["variance", "--scramblers", "nested", "--integrands", "f1", "--m", "54", "--reps", "3"],
+     "depth 53"),
+    (["histogram", "--scramblers", "matousek,jittered", "--m", "2,60", "--r", "1", "--reps", "3"],
+     "depth 53"),
     # a repeated value would overwrite a cell file or repeat a cell's rows
-    (["histogram", "--scramblers", "nested,nested", "--m", "2"], "scramblers lists a value twice"),
-    (["variance", "--integrands", "f1,f2,f1", "--m", "2"], "integrands lists a value twice"),
-    (["histogram", "--m", "4,4"], "m lists a value twice"),
-    (["convergence", "--m", "4,4,4"], "m lists a value twice"),
-    (["histogram", "--m", "2", "--r", "3,3"], "r lists a value twice"),
-    # variance mode sets r to the repetitions: any other r repeats every cell
-    (["variance", "--m", "2", "--r", "1,15"], "variance mode takes no r"),
-    (["variance", "--m", "2", "--r", "15"], "variance mode takes no r"),
+    (["histogram", "--scramblers", "nested,nested", "--m", "2", "--reps", "3"],
+     "scramblers lists a value twice"),
+    (["variance", "--integrands", "f1,f2,f1", "--m", "2", "--reps", "3"],
+     "integrands lists a value twice"),
+    (["histogram", "--m", "4,4", "--reps", "3"], "m lists a value twice"),
+    (["convergence", "--m", "4,4,4", "--reps", "3"], "m lists a value twice"),
+    (["histogram", "--m", "2", "--r", "3,3", "--reps", "3"], "r lists a value twice"),
+    # variance mode has no r: its batch size is the repetitions
+    (["variance", "--m", "2", "--r", "1,15", "--reps", "3"], "unrecognized arguments: --r"),
+    (["variance", "--m", "2", "--r", "15", "--reps", "3"], "unrecognized arguments: --r"),
+    (["variance", "--m", "2", "--r", "1", "--reps", "3"], "unrecognized arguments: --r"),
+    # a mode takes only the flags and config-file keys it reads
+    (["acceptance", "--criteria", "9", "--scramblers", "bogus"],
+     "unrecognized arguments: --scramblers"),
+    (["acceptance", "--criteria", "9", "--base", "3"], "unrecognized arguments: --base"),
+    (["acceptance", "--criteria", "9", "--m", "4"], "unrecognized arguments: --m"),
+    (["acceptance", "--criteria", "9", "--reps", "0"], "unrecognized arguments: --reps"),
+    (["histogram", "--criteria", "1", "--m", "2", "--reps", "3"],
+     "unrecognized arguments: --criteria"),
+    (["acceptance", "--criteria", "9", "--config", "m4.cfg"], "unknown key 'm'"),
+    # no abbreviations: --rep is not --reps
+    (["variance", "--m", "2", "--rep", "5"], "unrecognized arguments: --rep"),
 ], ids=["base-257", "base-1", "seed-histogram", "seed-convergence", "seed-variance",
         "seed-acceptance", "m-54-above-depth", "m-60-above-depth", "repeated-scrambler",
         "repeated-integrand", "repeated-m-histogram", "repeated-m-convergence", "repeated-r",
-        "variance-r-list", "variance-r-15"])
-def test_bad_input_is_usage_error(tmp_path, capsys, argv, text):
-    assert main(argv + ["--reps", "3", "--out", str(tmp_path)]) == 2
+        "variance-r-list", "variance-r-15", "variance-r-1", "acceptance-scramblers",
+        "acceptance-base", "acceptance-m", "acceptance-reps", "histogram-criteria",
+        "acceptance-config-m", "abbreviated-flag"])
+def test_bad_input_is_usage_error(tmp_path, monkeypatch, capsys, argv, text):
+    monkeypatch.chdir(tmp_path)
+    Path("m4.cfg").write_text("m = 4\n", encoding="utf-8")  # for acceptance-config-m
+    assert main(argv + ["--out", "out"]) == 2
     assert text in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    assert not Path("out").exists()
+
+
+def _env():
+    src = str(Path(rqmc_median.__file__).parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 def test_module_run_executes_mode(tmp_path):
     # `python -m rqmc_median.cli` runs a mode like the installed entry point
-    src = str(Path(rqmc_median.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-
     def run(*args):
         return subprocess.run([sys.executable, "-m", "rqmc_median.cli", "variance", "--m", "1",
-                               "--reps", "3", *args], env=env, capture_output=True)
+                               "--reps", "3", *args], env=_env(), capture_output=True)
 
     assert run("--out", str(tmp_path / "ok")).returncode == 0
     assert (tmp_path / "ok" / "variance.csv").is_file()
     assert run("--base", "257", "--out", str(tmp_path / "bad")).returncode == 2
+
+
+@pytest.mark.parametrize("script, args, files", [
+    ("run_histograms.py", ["--reps", "3", "--m", "2"],
+     [f"histograms/hist_{k}_{f}_m2_r{r}.csv"
+      for k in ("matousek", "nested") for f in ("f1", "f2") for r in (1, 15)]),
+    ("run_convergence.py", ["--reps", "1", "--r", "3", "--m", "2,3,4"],
+     ["convergence/convergence.csv"]),
+    ("run_variance.py", ["--reps", "3", "--m", "2"], ["variance/variance.csv"]),
+])
+def test_script_runs_at_desk_scale(tmp_path, script, args, files):
+    # each script passes only flags its mode reads, and extra flags after them
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    proc = subprocess.run([sys.executable, str(path), *args], cwd=tmp_path, env=_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    results = tmp_path / "results"
+    assert sorted(p.relative_to(results).as_posix() for p in results.rglob("*")
+                  if p.is_file()) == sorted(files)
+
+
+def test_mode_help_exits_zero(capsys):
+    assert main(["histogram", "--help"]) == 0
+    assert "--reps" in capsys.readouterr().out
 
 
 def test_nonprime_base_fine_for_nested(tmp_path):
@@ -112,6 +158,19 @@ def test_config_file_unknown_key(tmp_path, capsys):
 
 def test_config_file_missing(tmp_path, capsys):
     assert main(["variance", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+def test_config_file_criteria(tmp_path, capsys):
+    # an acceptance config file sets the criteria, parsed as --criteria would be
+    cfg = tmp_path / "acc.cfg"
+    cfg.write_text("criteria = 9\n", encoding="utf-8")
+    assert main(["acceptance", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("PASS  9 ")
+    for bad in ("criteria = 11\n", "criteria = 9,x\n"):
+        cfg.write_text(bad, encoding="utf-8")
+        assert main(["acceptance", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
+    assert not (tmp_path / "bad").exists()
 
 
 # ------------------------------------------------------------- config file

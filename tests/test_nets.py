@@ -48,6 +48,9 @@ def test_is_net_examples():
     assert is_net(float_net(2, 2, [0.99, 0.01, 0.51, 0.26]))
     # the stated strata decide, not strata read off the points
     assert not is_net(NetPoints(2, 2, [0.0, 0.5, 0.25, 0.75], [0, 0, 1, 3]))
+    # each point must lie in the stratum it states
+    assert not is_net(NetPoints(2, 1, [0.0, 0.0], [0, 1]))
+    assert not is_net(NetPoints(2, 2, [0.0, 0.5, 0.25, 0.75], np.roll([0, 2, 1, 3], 1)))
 
 
 @pytest.mark.filterwarnings("error")
