@@ -1,7 +1,7 @@
 """Randomized quasi-Monte Carlo on one-dimensional digital nets.
 
 Scrambled (0, m, 1)-nets under nested (permutation-tree), jittered, and
-affine matrix randomizations; average and median replicate estimators; and
+affine matrix randomizations; single-net and median-of-r estimators; and
 the statistical tooling (rescaled errors, order-statistic median laws,
 KS normality checks, convergence-slope fits) used to compare them.
 """

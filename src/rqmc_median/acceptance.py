@@ -67,20 +67,10 @@ class _RunContext:
         return dict(zip(names, cell[:count].T.copy()))
 
 
-def _ks_uniform(values: np.ndarray) -> float:
-    """Sup distance of the empirical CDF from Uniform(0, 1)."""
-    u = np.sort(values)
-    n = len(u)
-    i = np.arange(1, n + 1)
-    return float(max(np.max(i / n - u), np.max(u - (i - 1) / n)))
-
-
 def _rescaled_median_variance(estimates: np.ndarray, reps: int, r: int,
                               f, n_points: int) -> float:
     med = np.median(estimates[: reps * r].reshape(reps, r), axis=1)
-    sample = stats.rescale_median(med, f.exact_integral, math.sqrt(f.exact_sigma2),
-                                  n_points, r)
-    return float(np.var(sample.values, ddof=1))
+    return float(np.var(stats.rescale(med, f, n_points, r), ddof=1))
 
 
 def _c1(ctx: _RunContext) -> CriterionResult:
@@ -125,8 +115,7 @@ def _c3(ctx: _RunContext) -> CriterionResult:
     """Rescaled single-replicate nested errors look standard normal."""
     f = builtin("f2")
     est = ctx.estimates(ScramblerKind.NESTED, 6, 10_000)["f2"]
-    sample = stats.rescale_single(est, f.exact_integral, math.sqrt(f.exact_sigma2), 64)
-    ks = stats.ks_statistic_normal(sample)
+    ks = stats.ks_statistic_normal(stats.rescale(est, f, 64, 1))
     return CriterionResult(3, "nested-clt-normality", ks < 0.03, {"ks": ks},
                            "KS vs standard normal at n=64, 1e4 reps, threshold 0.03")
 
@@ -219,7 +208,7 @@ def _c8(ctx: _RunContext) -> CriterionResult:
                      [(seed, j) for j in range(reps)])
     for j, net in enumerate(nets):
         off[j, net.strata] = net.points * n - net.strata
-    ks_max = max(_ks_uniform(off[:, s]) for s in range(off.shape[1]))
+    ks_max = max(stats.ks_statistic(off[:, s], lambda u: u) for s in range(off.shape[1]))
     corr = np.corrcoef(off, rowvar=False)
     np.fill_diagonal(corr, 0.0)
     rho_max = float(np.max(np.abs(corr)))

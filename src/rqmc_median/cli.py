@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -224,23 +223,19 @@ def run_histogram_mode(cfg: ExperimentConfig) -> int:
     n_cells = 0
     for cell in _cells(cfg):
         seeds, values = _median_estimates(cfg, cell)
-        f, sigma = cell.f, math.sqrt(cell.f.exact_sigma2)
-        if cell.r == 1:
-            sample = stats.rescale_single(values, f.exact_integral, sigma, cell.n)
-        else:
-            sample = stats.rescale_median(values, f.exact_integral, sigma, cell.n, cell.r)
+        rescaled = stats.rescale(values, cell.f, cell.n, cell.r)
         lines = [CSV_HEADER]
         lines += [cell.row(rep, v, scaled, "raw", seed)
-                  for rep, (seed, v, scaled) in enumerate(zip(seeds, values, sample.values))]
-        hist = stats.histogram(sample)
+                  for rep, (seed, v, scaled) in enumerate(zip(seeds, values, rescaled))]
+        hist = stats.histogram(rescaled)
         lines += [cell.row(b, center, density, "hist", cfg.master_seed)
                   for b, (center, density) in enumerate(hist.pairs)]
-        var = float(np.var(sample.values, ddof=1)) if cfg.repetitions > 1 else 0.0
+        var = float(np.var(rescaled, ddof=1)) if cfg.repetitions > 1 else 0.0
         lines.append(cell.row(0, var, float(hist.n_outside), "summary", cfg.master_seed))
         if cfg.repetitions >= 100:
-            lines.append(cell.row(1, stats.ks_statistic_normal(sample), 0.0,
+            lines.append(cell.row(1, stats.ks_statistic_normal(rescaled), 0.0,
                                   "summary", cfg.master_seed))
-        _write(cfg.out_dir / f"hist_{cell.spec.kind.value}_{f.name}_m{cell.m}_r{cell.r}.csv",
+        _write(cfg.out_dir / f"hist_{cell.spec.kind.value}_{cell.f.name}_m{cell.m}_r{cell.r}.csv",
                lines)
         n_cells += 1
     print(f"histogram mode: wrote {n_cells} cell files to {cfg.out_dir}")

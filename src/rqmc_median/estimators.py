@@ -1,4 +1,4 @@
-"""Single-net, average-of-replicates, and median-of-replicates estimators.
+"""Single-net and median-of-replicates estimators.
 
 `scrambles` is the one replicate loop: every scramble in the library, and
 so every estimate, comes from it.
@@ -16,7 +16,6 @@ from .nets import NetPoints, van_der_corput_net
 from .scramble import RandomStream, ScramblerSpec, apply_scrambler
 
 __all__ = [
-    "average_estimator",
     "estimates",
     "median_estimator",
     "q_estimate",
@@ -88,17 +87,8 @@ def replicate_batch(f: IntegrandSpec, spec: ScramblerSpec, m: int, r: int,
     return estimates([f], spec, m, [(master_seed, j) for j in range(r)])[:, 0]
 
 
-def _check_nonempty(values: Sequence[float]):
-    if len(values) == 0:
-        raise ValueError("need at least one estimate")
-
-
-def average_estimator(values: Sequence[float]) -> float:
-    _check_nonempty(values)
-    return math.fsum(values) / len(values)
-
-
 def median_estimator(values: Sequence[float]) -> float:
     """Sample median; for even r, the midpoint of the two central order statistics."""
-    _check_nonempty(values)
+    if len(values) == 0:
+        raise ValueError("need at least one estimate")
     return float(np.median(values))

@@ -8,41 +8,23 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .integrands import IntegrandSpec
+
 __all__ = [
     "Histogram",
     "MedianLawSpec",
-    "RescaledSample",
     "fit_slope",
     "histogram",
+    "ks_statistic",
     "ks_statistic_normal",
     "median_density",
     "median_density_mass",
     "median_variance",
-    "rescale_median",
-    "rescale_single",
+    "rescale",
 ]
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-@dataclass(frozen=True, eq=False)
-class RescaledSample:
-    """Rescaled error sample from repeated estimates (see rescale_single and
-    rescale_median)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("rescaled values must be finite")
-        vals.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def repetitions(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -59,29 +41,34 @@ class MedianLawSpec:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 
-def rescale_single(estimates: Sequence[float], exact_integral: float, sigma: float,
-                   n_points: int) -> RescaledSample:
-    """values[j] = n**1.5 * (estimates[j] - I) / sigma."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive (constant integrands cannot be rescaled)")
-    est = np.asarray(estimates, dtype=np.float64)
-    vals = n_points**1.5 * (est - exact_integral) / sigma
-    return RescaledSample(vals)
+def _finite(values) -> np.ndarray:
+    vals = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("values must be finite")
+    return vals
 
 
-def rescale_median(medians: Sequence[float], exact_integral: float, sigma: float,
-                   n_points: int, r: int) -> RescaledSample:
-    """values[j] = sqrt(2r/pi) * n**1.5 * (medians[j] - I) / sigma.
+def rescale(estimates: Sequence[float], f: IntegrandSpec, n_points: int,
+            r: int) -> np.ndarray:
+    """Rescaled errors of single (r = 1) or median-of-r estimates of f.
 
-    The sqrt(2r/pi) factor makes the large-r limit standard normal.
+    With sigma = sqrt(f.exact_sigma2): n**1.5 * (est - I) / sigma at r = 1,
+    and sqrt(2r/pi) * n**1.5 * (est - I) / sigma above, whose large-r limit
+    is standard normal.  Returns a finite, read-only array.
     """
-    if not sigma > 0:
+    if not f.exact_sigma2 > 0:
         raise ValueError("sigma must be positive (constant integrands cannot be rescaled)")
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    med = np.asarray(medians, dtype=np.float64)
-    vals = math.sqrt(2.0 * r / math.pi) * n_points**1.5 * (med - exact_integral) / sigma
-    return RescaledSample(vals)
+    sigma = math.sqrt(f.exact_sigma2)
+    est = np.asarray(estimates, dtype=np.float64)
+    if r == 1:
+        vals = n_points**1.5 * (est - f.exact_integral) / sigma
+    else:
+        vals = math.sqrt(2.0 * r / math.pi) * n_points**1.5 * (est - f.exact_integral) / sigma
+    vals = _finite(vals)
+    vals.flags.writeable = False
+    return vals
 
 
 def _std_normal_cdf(x: np.ndarray) -> np.ndarray:
@@ -89,17 +76,23 @@ def _std_normal_cdf(x: np.ndarray) -> np.ndarray:
     return np.array([0.5 * (1.0 + math.erf(v / _SQRT2)) for v in np.asarray(x).ravel()])
 
 
-def ks_statistic_normal(sample: RescaledSample) -> float:
-    """Sup distance between the empirical CDF and the standard normal CDF."""
-    n = sample.repetitions
+def ks_statistic(values: Sequence[float],
+                 cdf: Callable[[np.ndarray], np.ndarray]) -> float:
+    """Sup distance between the empirical CDF of finite values and `cdf`,
+    which maps a sorted array to its CDF values."""
+    xs = np.sort(_finite(values))
+    n = len(xs)
+    cdf_xs = cdf(xs)
+    i = np.arange(1, n + 1)
+    return float(max(np.max(i / n - cdf_xs), np.max(cdf_xs - (i - 1) / n)))
+
+
+def ks_statistic_normal(values: Sequence[float]) -> float:
+    """KS distance of at least 100 finite values from the standard normal."""
+    n = len(values)
     if n < 100:
         raise ValueError(f"need at least 100 values for a meaningful statistic, got {n}")
-    xs = np.sort(sample.values)
-    cdf = _std_normal_cdf(xs)
-    i = np.arange(1, n + 1)
-    d_plus = np.max(i / n - cdf)
-    d_minus = np.max(cdf - (i - 1) / n)
-    return float(max(d_plus, d_minus))
+    return ks_statistic(values, _std_normal_cdf)
 
 
 def median_density(x: float, law: MedianLawSpec) -> float:
@@ -180,7 +173,7 @@ class Histogram:
     """Density histogram normalized to the in-range mass.
 
     Each bin's density is count / (sample size * bin_width), so the histogram
-    integrates to the fraction of values inside [lo, hi); values outside are
+    integrates to the fraction of values inside [-5, 5); values outside are
     counted in `n_outside`.
     """
 
@@ -193,23 +186,18 @@ class Histogram:
         return list(zip(self.bin_centers.tolist(), self.densities.tolist()))
 
 
-def histogram(sample: RescaledSample, bins: int = 60,
-              value_range: tuple[float, float] = (-5.0, 5.0)) -> Histogram:
-    """Bin the sample on [lo, hi) into equal-width density bins."""
-    lo, hi = value_range
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    if not lo < hi:
-        raise ValueError(f"need lo < hi, got {value_range}")
-    vals = sample.values
-    width = (hi - lo) / bins
+def histogram(values: Sequence[float]) -> Histogram:
+    """Bin finite values on [-5, 5) into 60 equal-width density bins."""
+    lo, hi, n_bins = -5.0, 5.0, 60
+    vals = _finite(values)
+    width = (hi - lo) / n_bins
     inside = (vals >= lo) & (vals < hi)
     idx = np.floor((vals[inside] - lo) / width).astype(np.int64)
-    np.clip(idx, 0, bins - 1, out=idx)
-    counts = np.bincount(idx, minlength=bins)
-    centers = lo + (np.arange(bins) + 0.5) * width
+    np.clip(idx, 0, n_bins - 1, out=idx)
+    counts = np.bincount(idx, minlength=n_bins)
+    centers = lo + (np.arange(n_bins) + 0.5) * width
     n_total = len(vals)
-    densities = counts / (n_total * width) if n_total else np.zeros(bins)
+    densities = counts / (n_total * width) if n_total else np.zeros(n_bins)
     return Histogram(centers, densities, int(n_total - inside.sum()))
 
 

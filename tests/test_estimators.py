@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from rqmc_median.estimators import (
     _exact_sum,
-    average_estimator,
     median_estimator,
     q_estimate,
     replicate_batch,
@@ -96,10 +95,8 @@ def test_q_estimate_is_fsum_over_n_at_large_m(kind):
                 assert np.float64(q_estimate(f, net)).tobytes() == np.float64(expected).tobytes()
 
 
-def test_average_and_median_examples():
-    assert average_estimator([0.4, 0.6]) == 0.5
-    assert average_estimator(np.array([0.7])) == 0.7
-    assert average_estimator((0.3, 0.3, 0.3)) == pytest.approx(0.3)
+def test_median_examples():
+    assert median_estimator(np.array([0.7])) == 0.7
     assert median_estimator([0.4, 0.5, 0.6]) == 0.5
     assert median_estimator(np.array([0.6, 0.4, 0.5])) == 0.5
     assert median_estimator([0.4, 0.6]) == 0.5  # even r: midpoint
@@ -109,10 +106,9 @@ def test_average_and_median_examples():
 def test_batch_validation():
     with pytest.raises(ValueError):
         replicate_batch(builtin("f1"), SPEC, 2, 0, 1)
-    for estimator in (average_estimator, median_estimator):
-        for empty in ([], np.empty(0)):
-            with pytest.raises(ValueError):
-                estimator(empty)
+    for empty in ([], np.empty(0)):
+        with pytest.raises(ValueError):
+            median_estimator(empty)
 
 
 def test_replicate_batch_deterministic():
@@ -146,13 +142,12 @@ def test_replicate_batch_streams_are_replicatewise():
 def test_constant_integrand_exact():
     batch = replicate_batch(builtin("constant"), SPEC, 5, 8, master_seed=5)
     assert all(e == 1.0 for e in batch)
-    assert average_estimator(batch) == 1.0
     assert median_estimator(batch) == 1.0
 
 
-def test_r_one_median_equals_average_equals_estimate():
+def test_r_one_median_equals_estimate():
     batch = replicate_batch(builtin("f1"), SPEC, 4, 1, master_seed=9)
-    assert median_estimator(batch) == average_estimator(batch) == batch[0]
+    assert median_estimator(batch) == batch[0]
 
 
 @given(st.lists(st.floats(min_value=-100, max_value=100), min_size=1, max_size=25),
@@ -160,8 +155,6 @@ def test_r_one_median_equals_average_equals_estimate():
 def test_combiners_are_permutation_invariant(values, rnd):
     shuffled = list(values)
     rnd.shuffle(shuffled)
-    assert average_estimator(values) == pytest.approx(
-        average_estimator(np.array(shuffled)), rel=0, abs=1e-12)
     assert median_estimator(values) == median_estimator(np.array(shuffled))
 
 

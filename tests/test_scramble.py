@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -404,3 +406,44 @@ def test_striped_collapses_in_every_base():
             est = estimates(fs, ScramblerSpec(kind, base=base), m, keys)
             ratios = np.var(est, axis=0, ddof=1) / [f.exact_sigma2 / n**3 for f in fs]
             assert np.all((low < ratios) & (ratios < high)), (kind, base, ratios)
+    # Every row part (h_1, ..., h_m) is nonzero, so no output digit is
+    # constant over the net and the estimate of the integral of x is one
+    # number: in base 2 the mean of depth-53 digits, (1 - 2**-53) / 2, and
+    # 0.5 in odd bases, up to rounding at m = 1 with the shift
+    lin, keys = builtin("linear"), [(5, j) for j in range(500)]
+    for base, ms in ((2, (1, 3, 8, 12)), (3, (1, 2, 3)), (5, (1, 2))):
+        for shift, m in itertools.product((True, False), ms):
+            spec = ScramblerSpec(ScramblerKind.STRIPED, base=base, shift=shift)
+            est = estimates([lin], spec, m, keys)[:, 0]
+            if base == 2:
+                assert np.all(est == 0.5 - 2.0**-54), (base, m, shift)
+            elif m == 1 and shift:
+                assert np.all(np.abs(est - 0.5) <= 2.0**-53), (base, m, shift)
+            else:
+                assert np.all(est == 0.5), (base, m, shift)
+
+
+def _no_zero_run(m, bits=52):
+    """P(no run of m zeros in `bits` fair bits), by the trailing-run DP."""
+    p = [1.0] + [0.0] * (m - 1)  # p[z]: probability of z trailing zeros, no run yet
+    for _ in range(bits):
+        p = [0.5 * sum(p)] + [0.5 * q for q in p[:-1]]
+    return sum(p)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+@pytest.mark.parametrize("kind", ["matousek", "tezuka"])
+def test_linear_estimate_of_x_exact_law(kind, m):
+    # The base-2 estimate of the integral of x is (1 - 2**-53) / 2 plus
+    # sum over k in Z of (s_k - 1/2) 2**-k, where Z holds the output digits
+    # m < k <= 53 whose row part is zero and s is the shift.  With the shift
+    # on every term is nonzero, so P(estimate = 1/2 - 2**-54) = P(Z empty):
+    # (1 - 2**-m)**(53 - m) for matousek, whose row parts are iid; for
+    # tezuka, whose row parts are m consecutive entries of the first column,
+    # the chance of no run of m zeros in its 52 random bits
+    law = (1 - 2.0**-m) ** (53 - m) if kind == "matousek" else _no_zero_run(m)
+    reps = 10_000
+    est = estimates([builtin("linear")], ScramblerSpec(kind, base=2), m,
+                    [(5, j) for j in range(reps)])[:, 0]
+    hit = np.mean(est == 0.5 - 2.0**-54)
+    assert abs(hit - law) <= 5 * math.sqrt(law * (1 - law) / reps), (hit, law)

@@ -7,33 +7,32 @@ from hypothesis import strategies as st
 
 from rqmc_median import stats
 from rqmc_median.estimators import replicate_batch
-from rqmc_median.integrands import builtin
+from rqmc_median.integrands import IntegrandSpec, builtin
 from rqmc_median.scramble import ScramblerKind, ScramblerSpec
 
 
 # ------------------------------------------------------------- rescaling
 
+# I = 0.4 and sigma = 0.5
+F = IntegrandSpec("unit", lambda x: x, exact_integral=0.4, exact_sigma2=0.25)
+
+
 def test_rescale_single_units():
-    s = stats.rescale_single([0.4], exact_integral=0.4, sigma=0.5, n_points=64)
-    assert s.values[0] == 0.0
+    assert stats.rescale([0.4], F, n_points=64, r=1)[0] == 0.0
     shifted = 0.4 + 0.5 * 64**-1.5
-    s = stats.rescale_single([shifted], 0.4, 0.5, 64)
-    assert s.values[0] == pytest.approx(1.0)
+    assert stats.rescale([shifted], F, 64, 1)[0] == pytest.approx(1.0)
 
 
 def test_rescale_median_units():
-    s = stats.rescale_median([0.4], 0.4, 0.5, 64, 15)
-    assert s.values[0] == 0.0
+    assert stats.rescale([0.4], F, 64, 15)[0] == 0.0
     shifted = 0.4 + 0.5 * math.sqrt(math.pi / 30.0) * 64**-1.5
-    s = stats.rescale_median([shifted], 0.4, 0.5, 64, 15)
-    assert s.values[0] == pytest.approx(1.0)
+    assert stats.rescale([shifted], F, 64, 15)[0] == pytest.approx(1.0)
 
 
 def test_rescale_rejects_zero_sigma():
-    with pytest.raises(ValueError):
-        stats.rescale_single([0.5], 0.5, 0.0, 16)
-    with pytest.raises(ValueError):
-        stats.rescale_median([0.5], 0.5, 0.0, 16, 3)
+    for r in (1, 3):
+        with pytest.raises(ValueError):
+            stats.rescale([0.5], builtin("constant"), 16, r)
 
 
 def test_rescaled_jittered_linear_variance_is_one():
@@ -41,9 +40,7 @@ def test_rescaled_jittered_linear_variance_is_one():
     f = builtin("linear")
     spec = ScramblerSpec(ScramblerKind.JITTERED, base=2)
     batch = replicate_batch(f, spec, 6, 10_000, master_seed=606)
-    sample = stats.rescale_single(batch, f.exact_integral,
-                                  math.sqrt(f.exact_sigma2), 64)
-    assert 0.97 <= np.var(sample.values, ddof=1) <= 1.03
+    assert 0.97 <= np.var(stats.rescale(batch, f, 64, 1), ddof=1) <= 1.03
 
 
 # ------------------------------------------------------------- KS statistic
@@ -62,18 +59,19 @@ def _norm_quantile(p):
 def test_ks_on_ideal_quantiles():
     n = 1000
     vals = [_norm_quantile((i - 0.5) / n) for i in range(1, n + 1)]
-    sample = stats.RescaledSample(np.array(vals))
-    assert stats.ks_statistic_normal(sample) <= 0.001
+    assert stats.ks_statistic_normal(vals) <= 0.001
 
 
 def test_ks_point_mass():
-    sample = stats.RescaledSample(np.zeros(500))
-    assert stats.ks_statistic_normal(sample) == pytest.approx(0.5)
+    assert stats.ks_statistic_normal(np.zeros(500)) == pytest.approx(0.5)
+    # far tails: the distance above the CDF (left) and below it (right)
+    assert stats.ks_statistic_normal(np.full(500, -9.0)) == pytest.approx(1.0)
+    assert stats.ks_statistic_normal(np.full(500, 9.0)) == pytest.approx(1.0)
 
 
 def test_ks_minimum_sample_size():
     with pytest.raises(ValueError):
-        stats.ks_statistic_normal(stats.RescaledSample(np.zeros(99)))
+        stats.ks_statistic_normal(np.zeros(99))
 
 
 def test_ks_on_true_normal_draws():
@@ -81,8 +79,7 @@ def test_ks_on_true_normal_draws():
     rng = np.random.default_rng(11)
     crit = 1.358 / math.sqrt(10_000)
     below = sum(
-        stats.ks_statistic_normal(
-            stats.RescaledSample(rng.standard_normal(10_000))) < crit
+        stats.ks_statistic_normal(rng.standard_normal(10_000)) < crit
         for _ in range(100))
     assert below >= 95
 
@@ -154,34 +151,28 @@ def test_median_variance_matches_simulation():
 # ------------------------------------------------------------- histogram
 
 def test_histogram_point_mass():
-    sample = stats.RescaledSample(np.full(50, 0.3))
-    hist = stats.histogram(sample, bins=1, value_range=(0.0, 1.0))
-    assert hist.densities.tolist() == [1.0]
+    # 60 bins on [-5, 5): width 1/6, so a point mass has density 6
+    hist = stats.histogram(np.full(50, 0.3))
+    assert hist.densities[31] == pytest.approx(6.0, rel=1e-12)
+    assert np.count_nonzero(hist.densities) == 1
+    assert hist.bin_centers[31] - 1 / 12 <= 0.3 < hist.bin_centers[31] + 1 / 12
     assert hist.n_outside == 0
 
 
 def test_histogram_all_outside():
-    sample = stats.RescaledSample(np.full(30, 9.0))
-    hist = stats.histogram(sample, bins=4, value_range=(-1.0, 1.0))
+    hist = stats.histogram(np.full(30, 9.0))
     assert np.all(hist.densities == 0.0)
     assert hist.n_outside == 30
 
 
 def test_histogram_uniform_density():
     rng = np.random.default_rng(8)
-    sample = stats.RescaledSample(rng.uniform(-2, 2, 200_000))
-    hist = stats.histogram(sample, bins=20, value_range=(-2.0, 2.0))
-    assert np.all(np.abs(hist.densities - 0.25) < 0.25 * 0.05)
-    total = np.sum(hist.densities) * (4.0 / 20)
-    assert total == pytest.approx(1.0 - hist.n_outside / 200_000, rel=1e-12)
-
-
-def test_histogram_validation():
-    sample = stats.RescaledSample(np.zeros(5))
-    with pytest.raises(ValueError):
-        stats.histogram(sample, bins=0)
-    with pytest.raises(ValueError):
-        stats.histogram(sample, value_range=(1.0, -1.0))
+    n = 600_000
+    hist = stats.histogram(rng.uniform(-5, 5, n))
+    assert len(hist.densities) == 60
+    assert np.all(np.abs(hist.densities - 0.1) < 0.1 * 0.05)
+    total = np.sum(hist.densities) * (10.0 / 60)
+    assert total == pytest.approx(1.0 - hist.n_outside / n, rel=1e-12)
 
 
 # ------------------------------------------------------------- slope fit
@@ -229,6 +220,17 @@ def test_fit_slope_invariant_to_error_rescaling(c):
     assert i2 - i1 == pytest.approx(math.log10(c), rel=1e-6, abs=1e-9)
 
 
-def test_rescaled_sample_rejects_nonfinite():
+def test_nonfinite_values_are_rejected():
+    # rescale checks its output, ks_statistic_normal and histogram their input
+    checks = (lambda v: stats.rescale(v, F, 64, 1), lambda v: stats.rescale(v, F, 64, 15),
+              stats.ks_statistic_normal, stats.histogram)
+    for bad in (np.inf, -np.inf, np.nan):
+        vals = np.zeros(200)
+        vals[7] = bad
+        for fn in checks:
+            with pytest.raises(ValueError, match="finite"):
+                fn(vals)
+    out = stats.rescale(np.full(200, 0.4), F, 64, 1)
+    assert out.dtype == np.float64 and not out.flags.writeable
     with pytest.raises(ValueError):
-        stats.RescaledSample(np.array([0.0, np.inf]))
+        out[0] = 1.0
