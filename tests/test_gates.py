@@ -22,8 +22,6 @@ from rqmc_median.scramble import ScramblerKind
 class _Stub:
     """A run context whose f2 estimates have the given rescaled errors."""
 
-    master_seed = DEFAULT_SEED
-
     def __init__(self, rescaled_law):
         self.rescaled_law = rescaled_law
 
