@@ -126,9 +126,9 @@ def _c4(ctx: _RunContext) -> CriterionResult:
     f = builtin("f2")
     est = ctx.estimates(ScramblerKind.NESTED, 6, reps * r)["f2"]
     sample_var = _rescaled_median_variance(est, reps, r, f, 64)
-    oracle = (2.0 * r / math.pi) * stats.median_variance(r, 1.0)
+    oracle = (2.0 * r / math.pi) * stats.median_variance(r)
     big_r = 1001
-    tail_ratio = big_r * stats.median_variance(big_r, 1.0) / (math.pi / 2.0)
+    tail_ratio = big_r * stats.median_variance(big_r) / (math.pi / 2.0)
     measured = {"sample_var": sample_var, "oracle": oracle,
                 "ratio": sample_var / oracle, "r1001_over_limit": tail_ratio}
     ok = abs(sample_var / oracle - 1.0) <= 0.10 and abs(tail_ratio - 1.0) <= 0.005
@@ -223,13 +223,13 @@ def _c9(ctx: _RunContext) -> CriterionResult:
     measured = {}
     ok = True
     for r in (1, 3, 15, 101):
-        mass = stats.median_density_mass(stats.MedianLawSpec(r, 1.0))
+        mass = stats.median_density_mass(r)
         measured[f"mass_defect_r{r}"] = abs(mass - 1.0)
         ok = ok and abs(mass - 1.0) <= 1e-8
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=ctx.master_seed, spawn_key=(3,)))
     sim_var = float(np.var(np.median(rng.standard_normal((1_000_000, 3)), axis=1), ddof=1))
-    quad_var = stats.median_variance(3, 1.0)
+    quad_var = stats.median_variance(3)
     measured["sim_var_r3"] = sim_var
     measured["quad_var_r3"] = quad_var
     ok = ok and abs(sim_var / quad_var - 1.0) <= 0.01

@@ -18,12 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import acceptance, stats
-from .digits import default_depth
 from .estimators import median_estimator, replicate_batch
 from .integrands import IntegrandSpec, builtin
-from .scramble import ScramblerSpec, derive_seed
+from .scramble import ScramblerKind, ScramblerSpec, derive_seed
 
-__all__ = ["DEFAULT_SEED", "ExperimentConfig", "entry", "main"]
+__all__ = ["DEFAULT_SEED", "entry", "main"]
 
 DEFAULT_SEED = 20250809
 CSV_HEADER = "scrambler,integrand,base,m,N,r,rep,value,rescaled,kind,seed"
@@ -53,14 +52,14 @@ def _on_off(text: str) -> bool:
     return text.lower() == "on"
 
 
-# Each mode's settings, exactly those it reads: flag, ExperimentConfig field,
+# Each mode's settings, exactly those it reads: flag, namespace attribute,
 # type, default text, help.  A config-file key is the flag without its dashes;
 # its text replaces the default, a flag replaces both, and the type parses each.
 _SEED = ("--seed", "master_seed", int, str(DEFAULT_SEED), "master seed")
 _OUT = ("--out", "out_dir", Path, "results", "output directory")
 _BASE = ("--base", "base", int, "2", "net base")
 _SHIFT = ("--shift", "shift", _on_off, "on", "digital shift for linear kinds: on or off")
-_KINDS = "nested,jittered,matousek,tezuka,striped"
+_KINDS = ",".join(kind.value for kind in ScramblerKind)
 _INTEGRANDS = "comma list: f1,f2,linear,constant"
 _M = "comma list of net exponents (n = base**m)"
 _SETTINGS = {
@@ -90,61 +89,47 @@ _SETTINGS = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    """One mode's settings; a field the mode does not read keeps its empty default."""
+def validate(cfg: argparse.Namespace):
+    """Raise UsageError for bad settings before a run writes anything.
 
-    mode: str
-    master_seed: int
-    out_dir: Path
-    scramblers: tuple[str, ...] = ()
-    integrands: tuple[str, ...] = ()
-    base: int = 0
-    m_values: tuple[int, ...] = ()
-    r_values: tuple[int, ...] = ()
-    repetitions: int = 0
-    shift: bool = False
-    criteria: tuple[int, ...] = ()
-
-    def validate(self):
-        """Raise UsageError for bad settings before a run writes anything.
-
-        Scrambler and integrand names, the base and its pairing with each
-        scrambler kind are checked by building the specs, which own those
-        rules; no m may exceed the base's digit depth.  A repeated value
-        would repeat or overwrite a cell's output.
-        """
-        if self.master_seed < 0:
-            raise UsageError(f"seed must be nonnegative, got {self.master_seed}")
-        if self.mode == "acceptance":
-            if any(c not in range(1, 11) for c in self.criteria):
-                raise UsageError("criteria must be in 1..10")
-            return
-        if self.repetitions < 1:
-            raise UsageError("repetitions must be >= 1")
-        if any(m < 0 for m in self.m_values):
-            raise UsageError("m values must be nonnegative")
-        if any(r < 1 for r in self.r_values):
-            raise UsageError("r values must be positive")
-        for key, values in (("scramblers", self.scramblers), ("integrands", self.integrands),
-                            ("m", self.m_values), ("r", self.r_values)):
-            if len(set(values)) < len(values):
-                raise UsageError(f"{key} lists a value twice: {','.join(map(str, values))}")
-        if self.mode == "convergence" and len(self.m_values) < 3:
-            raise UsageError("convergence mode needs at least 3 m values")
-        try:
-            specs = [ScramblerSpec(name, base=self.base, shift=self.shift)
-                     for name in self.scramblers]
-            fs = [builtin(name) for name in self.integrands]
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        if max(self.m_values) > default_depth(self.base):
-            raise UsageError(f"m={max(self.m_values)} exceeds the digit depth "
-                             f"{default_depth(self.base)} in base {self.base}")
-        zero_energy = [f.name for f in fs if f.exact_sigma2 <= 0]
-        if self.mode == "histogram" and zero_energy:
-            raise UsageError(f"integrand {zero_energy[0]!r} has zero gradient energy; "
-                             "rescaled errors are undefined")
+    Scrambler and integrand names, the base and its pairing with each
+    scrambler kind are checked by building the specs, which own those
+    rules; no m may exceed the specs' digit depth.  A repeated value would
+    repeat or overwrite a cell's output.  Variance mode has no r values.
+    """
+    if cfg.master_seed < 0:
+        raise UsageError(f"seed must be nonnegative, got {cfg.master_seed}")
+    if cfg.mode == "acceptance":
+        if any(c not in range(1, 11) for c in cfg.criteria):
+            raise UsageError("criteria must be in 1..10")
+        return
+    r_values = getattr(cfg, "r_values", ())
+    if cfg.repetitions < 1:
+        raise UsageError("repetitions must be >= 1")
+    if any(m < 0 for m in cfg.m_values):
+        raise UsageError("m values must be nonnegative")
+    if any(r < 1 for r in r_values):
+        raise UsageError("r values must be positive")
+    for key, values in (("scramblers", cfg.scramblers), ("integrands", cfg.integrands),
+                        ("m", cfg.m_values), ("r", r_values)):
+        if len(set(values)) < len(values):
+            raise UsageError(f"{key} lists a value twice: {','.join(map(str, values))}")
+    if cfg.mode == "convergence" and len(cfg.m_values) < 3:
+        raise UsageError("convergence mode needs at least 3 m values")
+    try:
+        specs = [ScramblerSpec(name, base=cfg.base, shift=cfg.shift)
+                 for name in cfg.scramblers]
+        fs = [builtin(name) for name in cfg.integrands]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    depth = specs[0].depth
+    if max(cfg.m_values) > depth:
+        raise UsageError(f"m={max(cfg.m_values)} exceeds the digit depth "
+                         f"{depth} in base {cfg.base}")
+    zero_energy = [f.name for f in fs if f.exact_sigma2 <= 0]
+    if cfg.mode == "histogram" and zero_energy:
+        raise UsageError(f"integrand {zero_energy[0]!r} has zero gradient energy; "
+                         "rescaled errors are undefined")
 
 
 def _parse_config_file(path: Path, mode: str) -> dict[str, str]:
@@ -185,14 +170,14 @@ class _Cell:
                 f"{self.r},{rep},{value:.17g},{rescaled:.17g},{kind},{seed}")
 
 
-def _cells(cfg: ExperimentConfig):
-    grid = itertools.product(cfg.scramblers, cfg.integrands, cfg.m_values, cfg.r_values)
+def _cells(cfg: argparse.Namespace, r_values: tuple[int, ...]):
+    grid = itertools.product(cfg.scramblers, cfg.integrands, cfg.m_values, r_values)
     for idx, (scrambler, integrand, m, r) in enumerate(grid):
         spec = ScramblerSpec(scrambler, base=cfg.base, shift=cfg.shift)
         yield _Cell(idx, spec, builtin(integrand), m, cfg.base**m, r)
 
 
-def _median_estimates(cfg: ExperimentConfig, cell: _Cell) -> tuple[list[int], np.ndarray]:
+def _median_estimates(cfg: argparse.Namespace, cell: _Cell) -> tuple[list[int], np.ndarray]:
     """The batch seed and the median-of-r estimate of each repetition of a cell."""
     seeds = [derive_seed(cfg.master_seed, cell.index, rep) for rep in range(cfg.repetitions)]
     meds = [median_estimator(replicate_batch(cell.f, cell.spec, cell.m, cell.r, seed))
@@ -205,14 +190,14 @@ def _write(path: Path, lines: list[str]):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _warn_even_r(cfg: ExperimentConfig):
+def _warn_even_r(cfg: argparse.Namespace):
     for r in cfg.r_values:
         if r > 1 and r % 2 == 0:
             print(f"warning: r={r} is even; the median uses the midpoint of the "
                   "two central order statistics", file=sys.stderr)
 
 
-def run_histogram_mode(cfg: ExperimentConfig) -> int:
+def run_histogram_mode(cfg: argparse.Namespace) -> int:
     """Per cell: repeated (median-of-r) estimates with rescaled errors and a
     60-bin density histogram on [-5, 5]; r = 1 rescales single estimates.
 
@@ -221,15 +206,16 @@ def run_histogram_mode(cfg: ExperimentConfig) -> int:
     """
     _warn_even_r(cfg)
     n_cells = 0
-    for cell in _cells(cfg):
+    for cell in _cells(cfg, cfg.r_values):
         seeds, values = _median_estimates(cfg, cell)
         rescaled = stats.rescale(values, cell.f, cell.n, cell.r)
         lines = [CSV_HEADER]
         lines += [cell.row(rep, v, scaled, "raw", seed)
                   for rep, (seed, v, scaled) in enumerate(zip(seeds, values, rescaled))]
         hist = stats.histogram(rescaled)
+        bins = zip(hist.bin_centers.tolist(), hist.densities.tolist())
         lines += [cell.row(b, center, density, "hist", cfg.master_seed)
-                  for b, (center, density) in enumerate(hist.pairs)]
+                  for b, (center, density) in enumerate(bins)]
         var = float(np.var(rescaled, ddof=1)) if cfg.repetitions > 1 else 0.0
         lines.append(cell.row(0, var, float(hist.n_outside), "summary", cfg.master_seed))
         if cfg.repetitions >= 100:
@@ -242,7 +228,7 @@ def run_histogram_mode(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def run_convergence_mode(cfg: ExperimentConfig) -> int:
+def run_convergence_mode(cfg: argparse.Namespace) -> int:
     """Median-estimator error against n with fitted log-log slopes.
 
     Raw rows carry each outer repetition's median estimate and absolute
@@ -253,7 +239,7 @@ def run_convergence_mode(cfg: ExperimentConfig) -> int:
     _warn_even_r(cfg)
     lines = [CSV_HEADER]
     sweeps: dict[tuple, tuple[_Cell, list]] = {}
-    for cell in _cells(cfg):
+    for cell in _cells(cfg, cfg.r_values):
         seeds, meds = _median_estimates(cfg, cell)
         abs_errs = np.abs(meds - cell.f.exact_integral)
         lines += [cell.row(rep, med, abs_err, "raw", seed)
@@ -277,7 +263,7 @@ def run_convergence_mode(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def run_variance_mode(cfg: ExperimentConfig) -> int:
+def run_variance_mode(cfg: argparse.Namespace) -> int:
     """Per cell: empirical Var(Q) over the repetitions against sigma^2/n^3.
 
     The repetitions are one batch, whose size the rows give as r.  Summary
@@ -285,7 +271,7 @@ def run_variance_mode(cfg: ExperimentConfig) -> int:
     holds their ratio (0 when the theoretical variance is 0).
     """
     lines = [CSV_HEADER]
-    for cell in _cells(replace(cfg, r_values=(cfg.repetitions,))):
+    for cell in _cells(cfg, (cfg.repetitions,)):
         seed = derive_seed(cfg.master_seed, cell.index, 0)
         est = replicate_batch(cell.f, cell.spec, cell.m, cell.r, seed)
         lines += [cell.row(rep, val, 0.0, "raw", seed) for rep, val in enumerate(est)]
@@ -299,7 +285,7 @@ def run_variance_mode(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def run_acceptance_mode(cfg: ExperimentConfig) -> int:
+def run_acceptance_mode(cfg: argparse.Namespace) -> int:
     """Run the acceptance criteria, print one line per criterion, write the
     report and metrics CSV, and exit nonzero when anything fails."""
     results = acceptance.run_acceptance(cfg.master_seed, list(cfg.criteria))
@@ -348,9 +334,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is not None:  # the file's text replaces the mode's defaults
             modes[args.mode].set_defaults(**_parse_config_file(args.config, args.mode))
             args = parser.parse_args(argv)
-        cfg = ExperimentConfig(**{k: v for k, v in vars(args).items() if k != "config"})
-        cfg.validate()
-        return _MODE_RUNNERS[cfg.mode](cfg)
+        validate(args)
+        return _MODE_RUNNERS[args.mode](args)
     except SystemExit as exc:  # argparse printed the help or a usage error
         return 2 if exc.code not in (0, None) else 0
     except UsageError as exc:

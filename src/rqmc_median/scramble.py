@@ -1,7 +1,7 @@
 """Randomizations of one-dimensional digital nets.
 
-Four randomizations of a (0, m, 1)-net, each consuming an explicit seeded
-stream:
+Three families of randomization of a (0, m, 1)-net, five `ScramblerKind`s
+in all, each consuming an explicit seeded stream:
 
 * nested digit scrambling -- every digit is permuted by a uniform random
   permutation selected by the preceding digits (a b-ary permutation tree);
@@ -9,8 +9,8 @@ stream:
   equivalent of nested scrambling in one dimension;
 * linear (affine matrix) scrambling -- digits are mapped through a random
   lower-triangular matrix mod b, in one of three classical shapes (free
-  entries, Toeplitz, or constant columns), optionally followed by an
-  additive random digit shift.
+  entries for matousek, Toeplitz for tezuka, constant columns for
+  striped), optionally followed by an additive random digit shift.
 
 Each takes (net, spec, stream) and rejects a spec of another kind;
 `apply_scrambler` dispatches on the spec.  In one dimension every digital

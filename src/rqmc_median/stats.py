@@ -12,7 +12,6 @@ from .integrands import IntegrandSpec
 
 __all__ = [
     "Histogram",
-    "MedianLawSpec",
     "fit_slope",
     "histogram",
     "ks_statistic",
@@ -25,20 +24,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-@dataclass(frozen=True)
-class MedianLawSpec:
-    """Median of r = 2k+1 iid centered normals with scale sigma."""
-
-    r: int
-    sigma: float
-
-    def __post_init__(self):
-        if self.r < 1 or self.r % 2 == 0:
-            raise ValueError(f"r must be a positive odd integer, got {self.r}")
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
 
 
 def _finite(values) -> np.ndarray:
@@ -95,33 +80,35 @@ def ks_statistic_normal(values: Sequence[float]) -> float:
     return ks_statistic(values, _std_normal_cdf)
 
 
-def median_density(x: float, law: MedianLawSpec) -> float:
-    """Density of the median of r = 2k+1 iid N(0, sigma**2) variables at x.
+def median_density(x: float, r: int) -> float:
+    """Density of the median of r = 2k+1 iid standard normals at x.
 
     r! / (k! k!) * Phi(x)**k * (1 - Phi(x))**k * phi(x), evaluated in log
     space so large r stays finite; both CDF tails come from erfc for
     accuracy far from the center.
     """
-    r, sigma = law.r, law.sigma
+    if r < 1 or r % 2 == 0:
+        raise ValueError(f"r must be a positive odd integer, got {r}")
     k = (r - 1) // 2
-    z = x / sigma
-    pdf = _INV_SQRT_2PI * math.exp(-0.5 * z * z) / sigma
+    pdf = _INV_SQRT_2PI * math.exp(-0.5 * x * x)
     if k == 0:
         return pdf
-    lower = 0.5 * math.erfc(-z / _SQRT2)
-    upper = 0.5 * math.erfc(z / _SQRT2)
+    lower = 0.5 * math.erfc(-x / _SQRT2)
+    upper = 0.5 * math.erfc(x / _SQRT2)
     if lower <= 0.0 or upper <= 0.0:
         return 0.0
     log_comb = math.lgamma(r + 1) - 2.0 * math.lgamma(k + 1)
     return math.exp(log_comb + k * (math.log(lower) + math.log(upper))) * pdf
 
 
-def _adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
-                      tol: float, seed_panels: int = 32) -> float:
+_SEED_PANELS = 32
+
+
+def _adaptive_simpson(fn: Callable[[float], float], a: float, b: float, tol: float) -> float:
     """Adaptive Simpson quadrature with Richardson correction.
 
-    The interval is pre-split into seed panels so sharply peaked integrands
-    (large-r median densities) cannot slip between probe points.
+    The interval is pre-split into _SEED_PANELS panels so sharply peaked
+    integrands (large-r median densities) cannot slip between probe points.
     """
 
     def simpson(l, r, fl, fm, fr):
@@ -140,32 +127,31 @@ def _adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
         return (recurse(l, mid, fl, flm, fm, left, tol / 2.0, depth - 1)
                 + recurse(mid, r, fm, frm, fr, right, tol / 2.0, depth - 1))
 
-    edges = np.linspace(a, b, seed_panels + 1)
+    edges = np.linspace(a, b, _SEED_PANELS + 1)
     total = 0.0
     for l, r in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (l + r)
         fl, fm, fr = fn(l), fn(mid), fn(r)
         total += recurse(l, r, fl, fm, fr, simpson(l, r, fl, fm, fr),
-                         tol / seed_panels, 48)
+                         tol / _SEED_PANELS, 48)
     return total
 
 
-def median_density_mass(law: MedianLawSpec) -> float:
-    """Total mass of the median density over [-10 sigma, 10 sigma] (should be 1)."""
-    fn = lambda x: median_density(x, law)
-    return 2.0 * _adaptive_simpson(fn, 0.0, 10.0 * law.sigma, 5e-12)
+def median_density_mass(r: int) -> float:
+    """Total mass of the median density over [-10, 10] (should be 1)."""
+    fn = lambda x: median_density(x, r)
+    return 2.0 * _adaptive_simpson(fn, 0.0, 10.0, 5e-12)
 
 
-def median_variance(r: int, sigma: float) -> float:
-    """Exact finite-r variance of the normal sample median, by quadrature.
+def median_variance(r: int) -> float:
+    """Exact finite-r variance of the median of r standard normals, by quadrature.
 
-    Integrates x**2 times the median density over [-10 sigma, 10 sigma]; the
-    mass beyond the truncation is far below 1e-12.  As r grows,
-    r * median_variance(r, sigma) approaches pi * sigma**2 / 2.
+    Integrates x**2 times the median density over [-10, 10]; the mass beyond
+    the truncation is far below 1e-12.  As r grows, r * median_variance(r)
+    approaches pi / 2.
     """
-    law = MedianLawSpec(r, sigma)
-    fn = lambda x: x * x * median_density(x, law)
-    return 2.0 * _adaptive_simpson(fn, 0.0, 10.0 * sigma, 1e-9 * sigma**2)
+    fn = lambda x: x * x * median_density(x, r)
+    return 2.0 * _adaptive_simpson(fn, 0.0, 10.0, 1e-9)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,10 +166,6 @@ class Histogram:
     bin_centers: np.ndarray
     densities: np.ndarray
     n_outside: int
-
-    @property
-    def pairs(self) -> list[tuple[float, float]]:
-        return list(zip(self.bin_centers.tolist(), self.densities.tolist()))
 
 
 def histogram(values: Sequence[float]) -> Histogram:

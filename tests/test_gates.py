@@ -1,18 +1,20 @@
 """Acceptance gates shown to catch a wrong law, not only to pass the right one.
 
-Each criterion is fed synthetic input at its own sample sizes: c3 through a
-stub run context whose `estimates` returns a stated law, c8 through a
-replacement for `acceptance.scrambles`.  The passing side of c3 is an exact
-sample of its law (the normal quantiles at (i - 0.5)/n); the passing side of
-c8 is the real pipeline at the default seed.
+Each criterion is fed synthetic input at its own sample sizes: c3 and c4
+through a stub run context whose `estimates` returns a stated law, c8
+through a replacement for `acceptance.scrambles`, and c9 through a
+replacement for its median-law oracle.  The passing side of c3 and c4 is an
+exact sample of its law (the normal quantiles at (i - 0.5)/n); the passing
+side of c8 and c9 is the real pipeline at the default seed.
 """
 
+import math
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from rqmc_median import acceptance
+from rqmc_median import acceptance, stats
 from rqmc_median.cli import DEFAULT_SEED
 from rqmc_median.integrands import builtin
 from rqmc_median.nets import NetPoints
@@ -47,6 +49,35 @@ def test_c3_fails_a_wider_normal():
     res = acceptance._c3(_Stub(lambda count: 1.25 * _normal_quantiles(count)))
     assert not res.passed
     assert res.measured["ks"] == pytest.approx(0.054, abs=0.001)
+
+
+def _median_groups(variance_factor):
+    """Groups of 15 equal rescaled errors whose common values are the normal
+    quantiles scaled to variance_factor * median_variance(15), ddof 1.
+
+    Each group's median is its shared value, so c4's rescaled median
+    variance is variance_factor times its oracle, up to rounding."""
+
+    def law(count):
+        q = _normal_quantiles(count // 15)
+        q *= math.sqrt(variance_factor * stats.median_variance(15) / np.var(q, ddof=1))
+        return np.repeat(q, 15)
+
+    return law
+
+
+def test_c4_passes_the_oracle_variance():
+    res = acceptance._c4(_Stub(_median_groups(1.0)))
+    assert res.passed, res.measured
+    assert res.measured["ratio"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_c4_fails_a_wider_median_law():
+    # the window is 10 %
+    res = acceptance._c4(_Stub(_median_groups(1.25)))
+    assert not res.passed
+    assert res.measured["ratio"] == pytest.approx(1.25, abs=1e-9)
+    assert res.measured["r1001_over_limit"] == pytest.approx(1.0, abs=0.005)
 
 
 def _offset_scrambles(draw_offsets):
@@ -86,3 +117,28 @@ def test_c8_fails_squared_uniform_offsets(monkeypatch):
     assert not res.passed
     assert res.measured["ks_max"] == pytest.approx(0.25, abs=0.02)
     assert res.measured["rho_max"] < 0.05  # caught by the KS statistic alone
+
+
+def test_c9_passes_the_real_oracle():
+    res = acceptance._c9(acceptance._RunContext(DEFAULT_SEED))
+    assert res.passed, res.measured
+
+
+def test_c9_fails_a_variance_2_percent_high(monkeypatch):
+    # the window on simulated over quadrature variance is 1 %
+    exact = stats.median_variance
+    monkeypatch.setattr(stats, "median_variance", lambda r: 1.02 * exact(r))
+    res = acceptance._c9(acceptance._RunContext(DEFAULT_SEED))
+    assert not res.passed
+    assert res.measured["sim_var_r3"] / res.measured["quad_var_r3"] == pytest.approx(
+        1 / 1.02, abs=0.005)
+    assert max(v for k, v in res.measured.items() if k.startswith("mass_defect")) <= 1e-8
+
+
+def test_c9_fails_a_mass_2e_8_high(monkeypatch):
+    # the window on each density's mass is 1e-8
+    monkeypatch.setattr(stats, "median_density_mass", lambda r: 1.0 + 2e-8)
+    res = acceptance._c9(acceptance._RunContext(DEFAULT_SEED))
+    assert not res.passed
+    assert res.measured["mass_defect_r1"] == pytest.approx(2e-8)
+    assert abs(res.measured["sim_var_r3"] / res.measured["quad_var_r3"] - 1.0) <= 0.01

@@ -431,9 +431,13 @@ def _no_zero_run(m, bits=52):
     return sum(p)
 
 
-@pytest.mark.parametrize("m", [4, 6])
-@pytest.mark.parametrize("kind", ["matousek", "tezuka"])
-def test_linear_estimate_of_x_exact_law(kind, m):
+def _estimates_of_x(kind, m, count):
+    """Base-2 estimates of the integral of x from streams (5, 0..count-1)."""
+    return estimates([builtin("linear")], ScramblerSpec(kind, base=2), m,
+                     [(5, j) for j in range(count)])[:, 0]
+
+
+def _exact_law(kind, m):
     # The base-2 estimate of the integral of x is (1 - 2**-53) / 2 plus
     # sum over k in Z of (s_k - 1/2) 2**-k, where Z holds the output digits
     # m < k <= 53 whose row part is zero and s is the shift.  With the shift
@@ -441,9 +445,39 @@ def test_linear_estimate_of_x_exact_law(kind, m):
     # (1 - 2**-m)**(53 - m) for matousek, whose row parts are iid; for
     # tezuka, whose row parts are m consecutive entries of the first column,
     # the chance of no run of m zeros in its 52 random bits
-    law = (1 - 2.0**-m) ** (53 - m) if kind == "matousek" else _no_zero_run(m)
-    reps = 10_000
-    est = estimates([builtin("linear")], ScramblerSpec(kind, base=2), m,
-                    [(5, j) for j in range(reps)])[:, 0]
-    hit = np.mean(est == 0.5 - 2.0**-54)
+    return (1 - 2.0**-m) ** (53 - m) if kind == "matousek" else _no_zero_run(m)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+@pytest.mark.parametrize("kind", ["matousek", "tezuka"])
+def test_linear_estimate_of_x_exact_law(kind, m):
+    law, reps = _exact_law(kind, m), 10_000
+    hit = np.mean(_estimates_of_x(kind, m, reps) == 0.5 - 2.0**-54)
     assert abs(hit - law) <= 5 * math.sqrt(law * (1 - law) / reps), (hit, law)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+@pytest.mark.parametrize("kind", ["matousek", "tezuka"])
+def test_linear_median_of_15_estimate_of_x_exact_law(kind, m):
+    # Off 1/2 - 2**-54 the sum over Z has the sign of its largest term,
+    # that of s_k - 1/2 at the smallest k in Z, so an estimate lies below
+    # or above with probability q = (1 - p0) / 2 each.  The median of 15 is
+    # exact when at most 7 lie below and at most 7 above, with the counts
+    # (N-, N0, N+) multinomial on (q, p0, q).
+    p0, reps = _exact_law(kind, m), 1000
+    q = (1 - p0) / 2
+    law = sum(math.comb(15, lo) * math.comb(15 - lo, hi) * q ** (lo + hi) * p0 ** (15 - lo - hi)
+              for lo in range(8) for hi in range(8))
+    meds = np.median(_estimates_of_x(kind, m, 15 * reps).reshape(reps, 15), axis=1)
+    hit = np.mean(meds == 0.5 - 2.0**-54)
+    assert abs(hit - law) <= 5 * math.sqrt(law * (1 - law) / reps), (hit, law)
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_nested_estimate_of_x_is_never_exact(m):
+    # the contrast the median claim rests on: nested scrambling draws every
+    # digit past m afresh, so no estimate and no median of 15 is exact
+    est = _estimates_of_x("nested", m, 15_000)
+    meds = np.median(est.reshape(1000, 15), axis=1)
+    assert np.count_nonzero(est == 0.5 - 2.0**-54) == 0
+    assert np.count_nonzero(meds == 0.5 - 2.0**-54) == 0

@@ -87,56 +87,45 @@ def test_ks_on_true_normal_draws():
 # ------------------------------------------------------------- median law
 
 def test_median_density_r1_is_normal_pdf():
-    law = stats.MedianLawSpec(1, 1.0)
     for x in (-2.0, -0.3, 0.0, 1.7):
-        assert stats.median_density(x, law) == pytest.approx(
+        assert stats.median_density(x, 1) == pytest.approx(
             math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi), rel=1e-12)
 
 
 def test_median_density_r3_at_zero():
     # 6 * (1/2)(1/2) * phi(0)
-    law = stats.MedianLawSpec(3, 1.0)
-    assert stats.median_density(0.0, law) == pytest.approx(1.5 * 0.3989422804014327,
-                                                           rel=1e-9)
+    assert stats.median_density(0.0, 3) == pytest.approx(1.5 * 0.3989422804014327, rel=1e-9)
 
 
 def test_median_density_symmetry_and_tails():
-    law = stats.MedianLawSpec(15, 2.0)
-    for x in (0.3, 1.1, 4.0):
-        assert stats.median_density(x, law) == pytest.approx(
-            stats.median_density(-x, law), rel=1e-12)
-    assert stats.median_density(30.0, law) == 0.0
+    for x in (0.15, 0.55, 2.0):
+        assert stats.median_density(x, 15) == pytest.approx(
+            stats.median_density(-x, 15), rel=1e-12)
+    assert stats.median_density(15.0, 15) == 0.0
 
 
 @pytest.mark.parametrize("r", [1, 3, 15, 101])
-@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
-def test_median_density_normalized(r, sigma):
-    mass = stats.median_density_mass(stats.MedianLawSpec(r, sigma))
-    assert abs(mass - 1.0) <= 1e-8
+def test_median_density_normalized(r):
+    assert abs(stats.median_density_mass(r) - 1.0) <= 1e-8
 
 
 def test_median_law_validation():
-    with pytest.raises(ValueError):
-        stats.MedianLawSpec(4, 1.0)
-    with pytest.raises(ValueError):
-        stats.MedianLawSpec(3, 0.0)
-    with pytest.raises(ValueError):
-        stats.median_variance(2, 1.0)
+    for r in (4, 0, -1):
+        with pytest.raises(ValueError, match="positive odd integer"):
+            stats.median_density(0.0, r)
+    with pytest.raises(ValueError, match="positive odd integer"):
+        stats.median_density_mass(4)
+    with pytest.raises(ValueError, match="positive odd integer"):
+        stats.median_variance(2)
 
 
 def test_median_variance_r1_exact():
-    assert stats.median_variance(1, 1.0) == pytest.approx(1.0, abs=1e-9)
-    assert stats.median_variance(1, 2.0) == pytest.approx(4.0, rel=1e-9)
-
-
-def test_median_variance_scales_with_sigma_squared():
-    assert stats.median_variance(15, 2.0) == pytest.approx(
-        4.0 * stats.median_variance(15, 1.0), rel=1e-8)
+    assert stats.median_variance(1) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_median_variance_approaches_asymptote_from_below():
     # r * Var(median) climbs monotonically toward pi/2
-    table = [r * stats.median_variance(r, 1.0) for r in (3, 15, 101, 1001)]
+    table = [r * stats.median_variance(r) for r in (3, 15, 101, 1001)]
     assert all(a < b for a, b in zip(table, table[1:]))
     assert all(t < math.pi / 2 for t in table)
     assert table[-1] == pytest.approx(math.pi / 2, rel=5e-3)
@@ -145,7 +134,7 @@ def test_median_variance_approaches_asymptote_from_below():
 def test_median_variance_matches_simulation():
     rng = np.random.default_rng(21)
     sim = np.var(np.median(rng.standard_normal((1_000_000, 3)), axis=1), ddof=1)
-    assert stats.median_variance(3, 1.0) == pytest.approx(sim, rel=0.01)
+    assert stats.median_variance(3) == pytest.approx(sim, rel=0.01)
 
 
 # ------------------------------------------------------------- histogram
