@@ -19,7 +19,8 @@ import numpy as np
 
 from . import acceptance, stats
 from .estimators import median_estimator, replicate_batch
-from .integrands import IntegrandSpec, builtin
+from .integrands import BUILTINS, IntegrandSpec, builtin
+from .nets import van_der_corput_net
 from .scramble import ScramblerKind, ScramblerSpec, derive_seed
 
 __all__ = ["DEFAULT_SEED", "entry", "main"]
@@ -60,7 +61,7 @@ _OUT = ("--out", "out_dir", Path, "results", "output directory")
 _BASE = ("--base", "base", int, "2", "net base")
 _SHIFT = ("--shift", "shift", _on_off, "on", "digital shift for linear kinds: on or off")
 _KINDS = ",".join(kind.value for kind in ScramblerKind)
-_INTEGRANDS = "comma list: f1,f2,linear,constant"
+_INTEGRANDS = f"comma list: {','.join(BUILTINS)}"
 _M = "comma list of net exponents (n = base**m)"
 _SETTINGS = {
     "histogram": (
@@ -90,46 +91,12 @@ _SETTINGS = {
 
 
 def validate(cfg: argparse.Namespace):
-    """Raise UsageError for bad settings before a run writes anything.
-
-    Scrambler and integrand names, the base and its pairing with each
-    scrambler kind are checked by building the specs, which own those
-    rules; no m may exceed the specs' digit depth.  A repeated value would
-    repeat or overwrite a cell's output.  Variance mode has no r values.
-    """
+    """Raise UsageError for a bad seed or criterion; the sweep modes' other
+    settings are checked where `_plan` builds their cells."""
     if cfg.master_seed < 0:
         raise UsageError(f"seed must be nonnegative, got {cfg.master_seed}")
-    if cfg.mode == "acceptance":
-        if any(c not in range(1, 11) for c in cfg.criteria):
-            raise UsageError("criteria must be in 1..10")
-        return
-    r_values = getattr(cfg, "r_values", ())
-    if cfg.repetitions < 1:
-        raise UsageError("repetitions must be >= 1")
-    if any(m < 0 for m in cfg.m_values):
-        raise UsageError("m values must be nonnegative")
-    if any(r < 1 for r in r_values):
-        raise UsageError("r values must be positive")
-    for key, values in (("scramblers", cfg.scramblers), ("integrands", cfg.integrands),
-                        ("m", cfg.m_values), ("r", r_values)):
-        if len(set(values)) < len(values):
-            raise UsageError(f"{key} lists a value twice: {','.join(map(str, values))}")
-    if cfg.mode == "convergence" and len(cfg.m_values) < 3:
-        raise UsageError("convergence mode needs at least 3 m values")
-    try:
-        specs = [ScramblerSpec(name, base=cfg.base, shift=cfg.shift)
-                 for name in cfg.scramblers]
-        fs = [builtin(name) for name in cfg.integrands]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    depth = specs[0].depth
-    if max(cfg.m_values) > depth:
-        raise UsageError(f"m={max(cfg.m_values)} exceeds the digit depth "
-                         f"{depth} in base {cfg.base}")
-    zero_energy = [f.name for f in fs if f.exact_sigma2 <= 0]
-    if cfg.mode == "histogram" and zero_energy:
-        raise UsageError(f"integrand {zero_energy[0]!r} has zero gradient energy; "
-                         "rescaled errors are undefined")
+    if cfg.mode == "acceptance" and any(c not in range(1, 11) for c in cfg.criteria):
+        raise UsageError("criteria must be in 1..10")
 
 
 def _parse_config_file(path: Path, mode: str) -> dict[str, str]:
@@ -170,11 +137,44 @@ class _Cell:
                 f"{self.r},{rep},{value:.17g},{rescaled:.17g},{kind},{seed}")
 
 
-def _cells(cfg: argparse.Namespace, r_values: tuple[int, ...]):
-    grid = itertools.product(cfg.scramblers, cfg.integrands, cfg.m_values, r_values)
-    for idx, (scrambler, integrand, m, r) in enumerate(grid):
-        spec = ScramblerSpec(scrambler, base=cfg.base, shift=cfg.shift)
-        yield _Cell(idx, spec, builtin(integrand), m, cfg.base**m, r)
+def _plan(cfg: argparse.Namespace) -> list[_Cell]:
+    """A sweep's cells in seed order, or UsageError before a run writes anything.
+
+    Scrambler and integrand names, the base, its pairing with each scrambler
+    kind and the net size are checked by building the specs, integrands and
+    nets once, whose constructors own those rules.  A repeated value would
+    repeat or overwrite a cell's output.  Variance mode has no r values: a
+    cell's one batch is its repetitions.
+    """
+    r_values = getattr(cfg, "r_values", (cfg.repetitions,))
+    if cfg.repetitions < 1:
+        raise UsageError("repetitions must be >= 1")
+    if any(r < 1 for r in r_values):
+        raise UsageError("r values must be positive")
+    for key, values in (("scramblers", cfg.scramblers), ("integrands", cfg.integrands),
+                        ("m", cfg.m_values), ("r", r_values)):
+        if len(set(values)) < len(values):
+            raise UsageError(f"{key} lists a value twice: {','.join(map(str, values))}")
+    if cfg.mode == "convergence" and len(cfg.m_values) < 3:
+        raise UsageError("convergence mode needs at least 3 m values")
+    try:
+        specs = [ScramblerSpec(name, base=cfg.base, shift=cfg.shift)
+                 for name in cfg.scramblers]
+        fs = [builtin(name) for name in cfg.integrands]
+        nets = [van_der_corput_net(cfg.base, m) for m in cfg.m_values]
+    except (ValueError, MemoryError) as exc:
+        raise UsageError(str(exc)) from None
+    zero_energy = [f.name for f in fs if f.exact_sigma2 <= 0]
+    if cfg.mode == "histogram" and zero_energy:
+        raise UsageError(f"integrand {zero_energy[0]!r} has zero gradient energy; "
+                         "rescaled errors are undefined")
+    for r in getattr(cfg, "r_values", ()):  # a variance batch takes no median
+        if r > 1 and r % 2 == 0:
+            print(f"warning: r={r} is even; the median uses the midpoint of the "
+                  "two central order statistics", file=sys.stderr)
+    grid = itertools.product(specs, fs, nets, r_values)
+    return [_Cell(idx, spec, f, net.m, net.n, r)
+            for idx, (spec, f, net, r) in enumerate(grid)]
 
 
 def _median_estimates(cfg: argparse.Namespace, cell: _Cell) -> tuple[list[int], np.ndarray]:
@@ -190,13 +190,6 @@ def _write(path: Path, lines: list[str]):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _warn_even_r(cfg: argparse.Namespace):
-    for r in cfg.r_values:
-        if r > 1 and r % 2 == 0:
-            print(f"warning: r={r} is even; the median uses the midpoint of the "
-                  "two central order statistics", file=sys.stderr)
-
-
 def run_histogram_mode(cfg: argparse.Namespace) -> int:
     """Per cell: repeated (median-of-r) estimates with rescaled errors and a
     60-bin density histogram on [-5, 5]; r = 1 rescales single estimates.
@@ -204,9 +197,8 @@ def run_histogram_mode(cfg: argparse.Namespace) -> int:
     Summary rows: rep 0 holds (variance of rescaled errors, out-of-range
     count); rep 1 holds the KS statistic against the standard normal.
     """
-    _warn_even_r(cfg)
-    n_cells = 0
-    for cell in _cells(cfg, cfg.r_values):
+    cells = _plan(cfg)
+    for cell in cells:
         seeds, values = _median_estimates(cfg, cell)
         rescaled = stats.rescale(values, cell.f, cell.n, cell.r)
         lines = [CSV_HEADER]
@@ -223,8 +215,7 @@ def run_histogram_mode(cfg: argparse.Namespace) -> int:
                                   "summary", cfg.master_seed))
         _write(cfg.out_dir / f"hist_{cell.spec.kind.value}_{cell.f.name}_m{cell.m}_r{cell.r}.csv",
                lines)
-        n_cells += 1
-    print(f"histogram mode: wrote {n_cells} cell files to {cfg.out_dir}")
+    print(f"histogram mode: wrote {len(cells)} cell files to {cfg.out_dir}")
     return 0
 
 
@@ -236,10 +227,9 @@ def run_convergence_mode(cfg: argparse.Namespace) -> int:
     absolute error (rep 0); slope rows use m = -1, n = 0 and hold
     (slope, intercept).
     """
-    _warn_even_r(cfg)
     lines = [CSV_HEADER]
     sweeps: dict[tuple, tuple[_Cell, list]] = {}
-    for cell in _cells(cfg, cfg.r_values):
+    for cell in _plan(cfg):
         seeds, meds = _median_estimates(cfg, cell)
         abs_errs = np.abs(meds - cell.f.exact_integral)
         lines += [cell.row(rep, med, abs_err, "raw", seed)
@@ -271,7 +261,7 @@ def run_variance_mode(cfg: argparse.Namespace) -> int:
     holds their ratio (0 when the theoretical variance is 0).
     """
     lines = [CSV_HEADER]
-    for cell in _cells(cfg, (cfg.repetitions,)):
+    for cell in _plan(cfg):
         seed = derive_seed(cfg.master_seed, cell.index, 0)
         est = replicate_batch(cell.f, cell.spec, cell.m, cell.r, seed)
         lines += [cell.row(rep, val, 0.0, "raw", seed) for rep, val in enumerate(est)]

@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["IntegrandSpec", "builtin"]
+__all__ = ["BUILTINS", "IntegrandSpec", "builtin"]
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class IntegrandSpec:
             raise ValueError("exact_sigma2 must be nonnegative")
 
 
-_BUILTINS = {
+BUILTINS = {
     "f1": IntegrandSpec(
         name="f1",
         eval=lambda x: np.power(x, 1.5),
@@ -61,9 +61,9 @@ _BUILTINS = {
 def builtin(name: str) -> IntegrandSpec:
     """Look up a built-in integrand by name."""
     try:
-        return _BUILTINS[name]
+        return BUILTINS[name]
     except KeyError:
         raise ValueError(
-            f"unknown integrand {name!r}; choose from {', '.join(_BUILTINS)}"
+            f"unknown integrand {name!r}; choose from {', '.join(BUILTINS)}"
         ) from None
 

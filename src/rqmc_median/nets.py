@@ -8,7 +8,7 @@ import numpy as np
 
 __all__ = ["NetPoints", "is_net", "van_der_corput_net"]
 
-_MAX_POINTS = 1 << 62  # reject sizes past a signed 64-bit index space
+_MAX_POINTS = 1 << 53  # strata and n must be exact doubles for pts = strata / n
 
 
 class NetPoints:
@@ -63,13 +63,13 @@ def van_der_corput_net(base: int, m: int) -> NetPoints:
         raise ValueError(f"m must be >= 0, got {m}")
     n = base**m
     if n > _MAX_POINTS:
-        raise ValueError(f"net size {base}**{m} exceeds the supported index range")
+        raise ValueError(f"net size {base}**{m} exceeds 2**53 points")
     quot = np.arange(n, dtype=np.int64)
     strata = np.zeros(n, dtype=np.int64)
     for _ in range(m):  # digit k of the point is the k-th least significant digit of i
         quot, digit = np.divmod(quot, base)
         strata = strata * base + digit
-    pts = strata / n  # correctly rounded: strata and n are exact doubles below 2**53
+    pts = strata / n  # correctly rounded: strata and n are exact doubles
     return NetPoints(base, m, pts, strata)
 
 

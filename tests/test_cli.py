@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import rqmc_median
+from rqmc_median import cli
 from rqmc_median.cli import CSV_HEADER, main
 
 
@@ -45,11 +46,15 @@ def test_linear_kind_rejects_nonprime_base(capsys):
     (["convergence", "--seed", "-1", "--reps", "3"], "seed"),
     (["variance", "--seed", "-1", "--reps", "3"], "seed"),
     (["acceptance", "--seed", "-1"], "seed"),
-    # m above the digit depth (53 in base 2); never try an m near 30..53, which really allocates
+    # a net of more than 2**53 points; never try an m near 30..53 in base 2,
+    # which really allocates
     (["variance", "--scramblers", "nested", "--integrands", "f1", "--m", "54", "--reps", "3"],
-     "depth 53"),
+     "net size 2**54 exceeds 2**53 points"),
     (["histogram", "--scramblers", "matousek,jittered", "--m", "2,60", "--r", "1", "--reps", "3"],
-     "depth 53"),
+     "net size 2**60 exceeds 2**53 points"),
+    (["variance", "--base", "3", "--m", "34", "--reps", "3"], "net size 3**34 exceeds"),
+    (["variance", "--base", "5", "--m", "23", "--reps", "3"], "net size 5**23 exceeds"),
+    (["variance", "--m", "-1", "--reps", "3"], "m must be >= 0"),
     # a repeated value would overwrite a cell file or repeat a cell's rows
     (["histogram", "--scramblers", "nested,nested", "--m", "2", "--reps", "3"],
      "scramblers lists a value twice"),
@@ -74,7 +79,8 @@ def test_linear_kind_rejects_nonprime_base(capsys):
     # no abbreviations: --rep is not --reps
     (["variance", "--m", "2", "--rep", "5"], "unrecognized arguments: --rep"),
 ], ids=["base-257", "base-1", "seed-histogram", "seed-convergence", "seed-variance",
-        "seed-acceptance", "m-54-above-depth", "m-60-above-depth", "repeated-scrambler",
+        "seed-acceptance", "m-54-above-depth", "m-60-above-depth", "m-34-base-3",
+        "m-23-base-5", "m-negative", "repeated-scrambler",
         "repeated-integrand", "repeated-m-histogram", "repeated-m-convergence", "repeated-r",
         "variance-r-list", "variance-r-15", "variance-r-1", "acceptance-scramblers",
         "acceptance-base", "acceptance-m", "acceptance-reps", "histogram-criteria",
@@ -85,6 +91,17 @@ def test_bad_input_is_usage_error(tmp_path, monkeypatch, capsys, argv, text):
     assert main(argv + ["--out", "out"]) == 2
     assert text in capsys.readouterr().err
     assert not Path("out").exists()
+
+
+def test_net_out_of_memory_is_usage_error(tmp_path, monkeypatch, capsys):
+    def no_memory(base, m):
+        raise MemoryError("Unable to allocate 64.0 PiB for an array")
+
+    monkeypatch.setattr(cli, "van_der_corput_net", no_memory)
+    assert main(["variance", "--m", "4", "--reps", "3", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: Unable to allocate 64.0 PiB for an array"]
+    assert not (tmp_path / "out").exists()
 
 
 def _env():

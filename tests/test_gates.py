@@ -1,11 +1,13 @@
 """Acceptance gates shown to catch a wrong law, not only to pass the right one.
 
-Each criterion is fed synthetic input at its own sample sizes: c3 and c4
-through a stub run context whose `estimates` returns a stated law, c8
-through a replacement for `acceptance.scrambles`, and c9 through a
-replacement for its median-law oracle.  The passing side of c3 and c4 is an
-exact sample of its law (the normal quantiles at (i - 0.5)/n); the passing
-side of c8 and c9 is the real pipeline at the default seed.
+Each criterion is fed synthetic input at its own sample sizes: c1 to c6
+through a stub run context whose `estimates` returns a stated law per
+(kind, m), c7 and c8 through a replacement for `acceptance.scrambles`, and
+c9 through a replacement for its median-law oracle.  The passing side of c1
+to c5 is an exact sample of its law (the normal quantiles at (i - 0.5)/n,
+scaled to the sample variance the criterion tests), and of c6 an exact
+power of n; the passing side of c7, c8 and c9 is the real pipeline at the
+default seed.
 """
 
 import math
@@ -20,33 +22,105 @@ from rqmc_median.integrands import builtin
 from rqmc_median.nets import NetPoints
 from rqmc_median.scramble import ScramblerKind
 
+NESTED, JITTERED = ScramblerKind.NESTED, ScramblerKind.JITTERED
+MATOUSEK, TEZUKA, STRIPED = ScramblerKind.MATOUSEK, ScramblerKind.TEZUKA, ScramblerKind.STRIPED
+
 
 class _Stub:
-    """A run context whose f2 estimates have the given rescaled errors."""
+    """A run context whose estimates for (kind, m) are laws[kind, m](count),
+    a map from integrand name to estimates."""
 
-    def __init__(self, rescaled_law):
-        self.rescaled_law = rescaled_law
+    def __init__(self, laws):
+        self.laws = laws
 
     def estimates(self, kind, m, count):
-        assert (kind, m) == (ScramblerKind.NESTED, 6)
-        f = builtin("f2")
-        errors = self.rescaled_law(count) * np.sqrt(f.exact_sigma2) / 64**1.5
-        return {"f2": f.exact_integral + errors}
+        return self.laws[kind, m](count)
 
 
 def _normal_quantiles(count):
     return np.array([NormalDist().inv_cdf((i - 0.5) / count) for i in range(1, count + 1)])
 
 
+def _normal_sample(count, variance):
+    """The normal quantiles scaled to the given sample variance, ddof 1."""
+    q = _normal_quantiles(count)
+    return q * math.sqrt(variance / np.var(q, ddof=1))
+
+
+def _errors(fnames, m, rescaled_law):
+    """A law whose estimates of each named integrand at n = 2**m have the
+    rescaled errors rescaled_law(count)."""
+
+    def law(count):
+        errors = rescaled_law(count)
+        return {name: builtin(name).exact_integral
+                + errors * np.sqrt(builtin(name).exact_sigma2) / (2**m) ** 1.5
+                for name in fnames}
+
+    return law
+
+
+def _f2_at_64(rescaled_law):
+    return _Stub({(NESTED, 6): _errors(["f2"], 6, rescaled_law)})
+
+
+def _normal_law(fnames, variance_factor):
+    """Estimates at n = 64 whose rescaled errors have sample variance
+    variance_factor: sigma^2/64**3 times it in the estimates."""
+    return _errors(fnames, 6, lambda count: _normal_sample(count, variance_factor))
+
+
+def test_c1_passes_the_exact_variance():
+    law = _normal_law(["linear"], 1.0)
+    res = acceptance._c1(_Stub({(JITTERED, 6): law, (NESTED, 6): law}))
+    assert res.passed, res.measured
+    assert res.measured["ratio_nested"] == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("factor", [1.05, 0.95])
+def test_c1_fails_a_variance_5_percent_off(factor):
+    # the window is 1 %; only jittered is off
+    res = acceptance._c1(_Stub({(JITTERED, 6): _normal_law(["linear"], factor),
+                                (NESTED, 6): _normal_law(["linear"], 1.0)}))
+    assert not res.passed
+    assert res.measured["ratio_jittered"] == pytest.approx(factor, abs=1e-9)
+
+
+def _c2_stub(striped_factor):
+    """Every kind's f1 and f2 estimates at sigma^2/64**3, striped's times a factor."""
+    return _Stub({(kind, 6): _normal_law(["f1", "f2"], striped_factor if kind == STRIPED else 1.0)
+                  for kind in (NESTED, MATOUSEK, TEZUKA, STRIPED)})
+
+
+def test_c2_passes_equal_exact_variances():
+    res = acceptance._c2(_c2_stub(1.0))
+    assert res.passed, res.measured
+    assert res.measured["f2_max_over_min"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_c2_fails_striped_15_percent_low():
+    res = acceptance._c2(_c2_stub(0.85))
+    assert not res.passed
+    assert res.measured["f1_striped_over_theory"] == pytest.approx(0.85, abs=1e-9)
+
+
+def test_c2_fails_a_spread_of_6_percent():
+    # each kind within c2's 10 % of theory, but max/min 1/0.94 > 1.05
+    res = acceptance._c2(_c2_stub(0.94))
+    assert not res.passed
+    assert all(abs(v - 1) <= 0.1 for k, v in res.measured.items() if k.endswith("_theory"))
+    assert res.measured["f1_max_over_min"] == pytest.approx(1 / 0.94, abs=1e-9)
+
+
 def test_c3_passes_exact_normal_quantiles():
-    res = acceptance._c3(_Stub(_normal_quantiles))
+    res = acceptance._c3(_f2_at_64(_normal_quantiles))
     assert res.passed, res.measured
     assert res.measured["ks"] < 1e-3
 
 
 def test_c3_fails_a_wider_normal():
     # N(0, 1.25**2) is 0.054 from N(0, 1) in KS distance
-    res = acceptance._c3(_Stub(lambda count: 1.25 * _normal_quantiles(count)))
+    res = acceptance._c3(_f2_at_64(lambda count: 1.25 * _normal_quantiles(count)))
     assert not res.passed
     assert res.measured["ks"] == pytest.approx(0.054, abs=0.001)
 
@@ -57,27 +131,93 @@ def _median_groups(variance_factor):
 
     Each group's median is its shared value, so c4's rescaled median
     variance is variance_factor times its oracle, up to rounding."""
-
-    def law(count):
-        q = _normal_quantiles(count // 15)
-        q *= math.sqrt(variance_factor * stats.median_variance(15) / np.var(q, ddof=1))
-        return np.repeat(q, 15)
-
-    return law
+    return lambda count: np.repeat(
+        _normal_sample(count // 15, variance_factor * stats.median_variance(15)), 15)
 
 
 def test_c4_passes_the_oracle_variance():
-    res = acceptance._c4(_Stub(_median_groups(1.0)))
+    res = acceptance._c4(_f2_at_64(_median_groups(1.0)))
     assert res.passed, res.measured
     assert res.measured["ratio"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_c4_fails_a_wider_median_law():
     # the window is 10 %
-    res = acceptance._c4(_Stub(_median_groups(1.25)))
+    res = acceptance._c4(_f2_at_64(_median_groups(1.25)))
     assert not res.passed
     assert res.measured["ratio"] == pytest.approx(1.25, abs=1e-9)
     assert res.measured["r1001_over_limit"] == pytest.approx(1.0, abs=0.005)
+
+
+def _c5_stub(mat64, mat16):
+    """f2 medians of 15 whose rescaled variances are nested's times mat64
+    (matousek, n = 64) and mat16 (matousek, n = 16)."""
+    return _Stub({(NESTED, 6): _errors(["f2"], 6, _median_groups(1.0)),
+                  (MATOUSEK, 6): _errors(["f2"], 6, _median_groups(mat64)),
+                  (MATOUSEK, 4): _errors(["f2"], 4, _median_groups(mat16))})
+
+
+def test_c5_passes_matousek_below_nested_and_falling():
+    res = acceptance._c5(_c5_stub(0.1, 0.4))
+    assert res.passed, res.measured
+    assert res.measured["decay_factor"] == pytest.approx(4.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("mat64, mat16", [(1.0, 4.0), (0.1, 0.15)],
+                         ids=["matousek-as-nested", "decay-1.5"])
+def test_c5_fails(mat64, mat16):
+    res = acceptance._c5(_c5_stub(mat64, mat16))
+    assert not res.passed
+    assert res.measured["decay_factor"] == pytest.approx(mat16 / mat64, rel=1e-9)
+
+
+def _c6_stub(nested_slope, matousek_slope):
+    """Constant f1 and f2 estimates whose errors are n**slope at n = 2**m."""
+    law = lambda slope, m: lambda count: {
+        name: np.full(count, builtin(name).exact_integral + 2.0 ** (m * slope))
+        for name in ("f1", "f2")}
+    return _Stub({(kind, m): law(slope, m) for m in range(4, 13)
+                  for kind, slope in ((NESTED, nested_slope), (MATOUSEK, matousek_slope))})
+
+
+def test_c6_passes_the_paper_rates():
+    res = acceptance._c6(_c6_stub(-1.5, -2.5))
+    assert res.passed, res.measured
+    assert res.measured["slope_nested_f1"] == pytest.approx(-1.5, abs=1e-7)
+    assert res.measured["slope_matousek_f2"] == pytest.approx(-2.5, abs=1e-7)
+
+
+@pytest.mark.parametrize("nested, matousek", [(-1.5, -1.5), (-1.2, -2.5)],
+                         ids=["matousek-at-nested-rate", "nested-too-slow"])
+def test_c6_fails(nested, matousek):
+    res = acceptance._c6(_c6_stub(nested, matousek))
+    assert not res.passed
+    assert res.measured["slope_nested_f2"] == pytest.approx(nested, abs=1e-7)
+    assert res.measured["slope_matousek_f2"] == pytest.approx(matousek, abs=1e-7)
+
+
+def test_c7_passes_the_real_pipeline():
+    res = acceptance._c7(acceptance._RunContext(DEFAULT_SEED))
+    assert res.passed, res.measured
+
+
+def test_c7_fails_a_repeated_stratum(monkeypatch):
+    # the first scramble of each cell with m >= 1 puts points 0 and 1 in one stratum
+    real = acceptance.scrambles
+
+    def scrambles(spec, m, keys):
+        for j, net in enumerate(real(spec, m, keys)):
+            if j == 0 and m >= 1:
+                points, strata = net.points.copy(), net.strata.copy()
+                points[1], strata[1] = points[0], strata[0]
+                net = NetPoints(net.base, m, points, strata)
+            yield net
+
+    monkeypatch.setattr(acceptance, "scrambles", scrambles)
+    res = acceptance._c7(acceptance._RunContext(DEFAULT_SEED))
+    assert not res.passed
+    # 18 of the 3 x 7 (base, m) cells have m >= 1
+    assert {v for k, v in res.measured.items() if k.startswith("failures_")} == {18}
 
 
 def _offset_scrambles(draw_offsets):

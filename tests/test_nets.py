@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from scramble_reference import float_net
 
-from rqmc_median.digits import int_digits
+from rqmc_median.digits import default_depth, int_digits
 from rqmc_median.nets import NetPoints, is_net, van_der_corput_net
 
 
@@ -71,8 +71,13 @@ def test_netpoints_validates_count():
 
 
 def test_net_size_guard():
-    with pytest.raises(ValueError):
-        van_der_corput_net(2, 63)
+    # at most 2**53 points, so the strata are exact doubles; that bound keeps
+    # m within the scramblers' digit depth in every base they take
+    for base in range(2, 257):
+        top = max(m for m in range(54) if base**m <= 2**53)
+        assert top <= default_depth(base)
+        with pytest.raises(ValueError, match=rf"net size {base}\*\*{top + 1} exceeds 2\*\*53"):
+            van_der_corput_net(base, top + 1)
     # ScramblerSpec alone limits the base (to 256); a net takes any base
     assert van_der_corput_net(257, 1).strata.tolist() == list(range(257))
 

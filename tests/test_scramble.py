@@ -431,9 +431,9 @@ def _no_zero_run(m, bits=52):
     return sum(p)
 
 
-def _estimates_of_x(kind, m, count):
-    """Base-2 estimates of the integral of x from streams (5, 0..count-1)."""
-    return estimates([builtin("linear")], ScramblerSpec(kind, base=2), m,
+def _estimates_of_x(kind, m, count, base=2):
+    """Estimates of the integral of x from streams (5, 0..count-1)."""
+    return estimates([builtin("linear")], ScramblerSpec(kind, base=base), m,
                      [(5, j) for j in range(count)])[:, 0]
 
 
@@ -453,6 +453,22 @@ def _exact_law(kind, m):
 def test_linear_estimate_of_x_exact_law(kind, m):
     law, reps = _exact_law(kind, m), 10_000
     hit = np.mean(_estimates_of_x(kind, m, reps) == 0.5 - 2.0**-54)
+    assert abs(hit - law) <= 5 * math.sqrt(law * (1 - law) / reps), (hit, law)
+
+
+@pytest.mark.parametrize("base, m, digits", [(3, 3, 20), (5, 2, 14)])
+def test_matousek_odd_base_estimate_of_x_exact_law(base, m, digits):
+    # In an odd base the error against the depth-digit mean (1 - b**-depth)/2
+    # is the sum over k in Z of (s_k - (b - 1)/2) b**-k, with the shift s on,
+    # and a term is zero when s_k is the middle digit.  With K = digits, a
+    # nonzero term at k <= K makes |error| at least b**-K / 2 and the terms
+    # past K sum to less, so |error| < b**-K / 2 iff no k in m < k <= K has a
+    # nonzero term, which for matousek has probability b**-m (1 - 1/b)
+    # independently per k
+    law, reps = (1 - base**-m * (1 - 1 / base)) ** (digits - m), 4000
+    exact = (1 - base ** -default_depth(base)) / 2
+    err = _estimates_of_x("matousek", m, reps, base) - exact
+    hit = np.mean(np.abs(err) < base**-digits / 2)
     assert abs(hit - law) <= 5 * math.sqrt(law * (1 - law) / reps), (hit, law)
 
 
