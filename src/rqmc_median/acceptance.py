@@ -40,7 +40,6 @@ class CriterionResult:
     name: str
     passed: bool
     measured: dict[str, float] = field(default_factory=dict)
-    detail: str = ""
 
 
 class _RunContext:
@@ -84,8 +83,7 @@ def _c1(ctx: _RunContext) -> CriterionResult:
         ratio = float(np.var(est, ddof=1) / exact)
         measured[f"ratio_{kind.value}"] = ratio
         ok = ok and 0.99 <= ratio <= 1.01
-    return CriterionResult(1, "exact-variance-oracle", ok, measured,
-                           "empirical/exact variance for f(x)=x at n=64, window [0.99, 1.01]")
+    return CriterionResult(1, "exact-variance-oracle", ok, measured)
 
 
 def _c2(ctx: _RunContext) -> CriterionResult:
@@ -107,8 +105,7 @@ def _c2(ctx: _RunContext) -> CriterionResult:
         spread = max(variances.values()) / min(variances.values())
         measured[f"{fname}_max_over_min"] = spread
         ok = ok and spread <= 1.05
-    return CriterionResult(2, "variance-equality-across-scramblers", ok, measured,
-                           "each kind within 10% of theory and kinds within 5% of each other")
+    return CriterionResult(2, "variance-equality-across-scramblers", ok, measured)
 
 
 def _c3(ctx: _RunContext) -> CriterionResult:
@@ -116,8 +113,7 @@ def _c3(ctx: _RunContext) -> CriterionResult:
     f = builtin("f2")
     est = ctx.estimates(ScramblerKind.NESTED, 6, 10_000)["f2"]
     ks = stats.ks_statistic_normal(stats.rescale(est, f, 64, 1))
-    return CriterionResult(3, "nested-clt-normality", ks < 0.03, {"ks": ks},
-                           "KS vs standard normal at n=64, 1e4 reps, threshold 0.03")
+    return CriterionResult(3, "nested-clt-normality", ks < 0.03, {"ks": ks})
 
 
 def _c4(ctx: _RunContext) -> CriterionResult:
@@ -132,8 +128,7 @@ def _c4(ctx: _RunContext) -> CriterionResult:
     measured = {"sample_var": sample_var, "oracle": oracle,
                 "ratio": sample_var / oracle, "r1001_over_limit": tail_ratio}
     ok = abs(sample_var / oracle - 1.0) <= 0.10 and abs(tail_ratio - 1.0) <= 0.005
-    return CriterionResult(4, "median-law-finite-r", ok, measured,
-                           "rescaled nested median variance vs (2r/pi)*Var(median), and r=1001 limit")
+    return CriterionResult(4, "median-law-finite-r", ok, measured)
 
 
 def _c5(ctx: _RunContext) -> CriterionResult:
@@ -149,8 +144,7 @@ def _c5(ctx: _RunContext) -> CriterionResult:
     measured = {"nested_n64": nested, "matousek_n64": mat64, "matousek_n16": mat16,
                 "decay_factor": mat16 / mat64}
     ok = mat64 < nested and mat16 >= 2.0 * mat64
-    return CriterionResult(5, "linear-median-concentration", ok, measured,
-                           "rescaled median variance: matousek below nested and falling 2x from n=16 to n=64")
+    return CriterionResult(5, "linear-median-concentration", ok, measured)
 
 
 def _c6(ctx: _RunContext) -> CriterionResult:
@@ -175,8 +169,7 @@ def _c6(ctx: _RunContext) -> CriterionResult:
         slope, _ = stats.fit_slope(pts_err)
         measured[f"slope_{kind.value}_{fname}"] = slope
         ok = ok and slope <= hi and (lo is None or slope >= lo)
-    return CriterionResult(6, "convergence-slopes", ok, measured,
-                           "nested in [-1.65,-1.35] for f1,f2; matousek <= -1.7 (f1) and <= -2.0 (f2)")
+    return CriterionResult(6, "convergence-slopes", ok, measured)
 
 
 def _c7(ctx: _RunContext) -> CriterionResult:
@@ -194,8 +187,7 @@ def _c7(ctx: _RunContext) -> CriterionResult:
         measured[f"failures_{kind.value}"] = failures
         measured[f"total_{kind.value}"] = per_cell * len(grid)
         ok = ok and failures == 0
-    return CriterionResult(7, "net-preservation", ok, measured,
-                           "scrambled outputs must all satisfy the net property")
+    return CriterionResult(7, "net-preservation", ok, measured)
 
 
 def _c8(ctx: _RunContext) -> CriterionResult:
@@ -214,8 +206,7 @@ def _c8(ctx: _RunContext) -> CriterionResult:
     rho_max = float(np.max(np.abs(corr)))
     measured = {"ks_max": ks_max, "rho_max": rho_max}
     ok = ks_max < 0.02 and rho_max < 0.05
-    return CriterionResult(8, "nested-jittered-equivalence", ok, measured,
-                           "per-stratum offsets uniform (KS < 0.02) and uncorrelated (|rho| < 0.05)")
+    return CriterionResult(8, "nested-jittered-equivalence", ok, measured)
 
 
 def _c9(ctx: _RunContext) -> CriterionResult:
@@ -233,8 +224,7 @@ def _c9(ctx: _RunContext) -> CriterionResult:
     measured["sim_var_r3"] = sim_var
     measured["quad_var_r3"] = quad_var
     ok = ok and abs(sim_var / quad_var - 1.0) <= 0.01
-    return CriterionResult(9, "order-statistics-oracle", ok, measured,
-                           "density mass within 1e-8 of 1; quadrature variance within 1% of 1e6-triple simulation")
+    return CriterionResult(9, "order-statistics-oracle", ok, measured)
 
 
 _CRITERIA = {1: _c1, 2: _c2, 3: _c3, 4: _c4, 5: _c5, 6: _c6, 7: _c7, 8: _c8, 9: _c9}
@@ -270,7 +260,6 @@ def run_acceptance(master_seed: int, selected: list[int] | None = None) -> list[
         results = [r for r in first if r.index in base_indices]
         results.append(CriterionResult(
             10, "determinism", csv_a == csv_b,
-            {"bytes_first": float(len(csv_a)), "bytes_second": float(len(csv_b))},
-            "criteria 1-9 rerun with the same seed must emit identical metrics"))
+            {"bytes_first": float(len(csv_a)), "bytes_second": float(len(csv_b))}))
         return results
     return _run_pass(master_seed, base_indices)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -143,6 +144,20 @@ def test_script_runs_at_desk_scale(tmp_path, script, args, files):
 def test_mode_help_exits_zero(capsys):
     assert main(["histogram", "--help"]) == 0
     assert "--reps" in capsys.readouterr().out
+
+
+def test_readme_synopsis_lists_each_modes_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    documented, mode = {}, None
+    for line in block.splitlines():
+        if line.startswith("rqmc-median "):
+            mode = line.split()[1]
+        documented.setdefault(mode, set()).update(re.findall(r"\[(--[a-z-]+)", line))
+    _, modes = cli._build_parser()
+    flags = {name: {s for s in sub._option_string_actions if s.startswith("--")} - {"--help"}
+             for name, sub in modes.items()}
+    assert documented == flags
 
 
 def test_nonprime_base_fine_for_nested(tmp_path):

@@ -120,7 +120,21 @@ def test_median_law_validation():
 
 
 def test_median_variance_r1_exact():
-    assert stats.median_variance(1) == pytest.approx(1.0, abs=1e-9)
+    # Var(median of 3 standard normals) = 1 - sqrt(3)/pi in closed form
+    assert stats.median_variance(1) == pytest.approx(1.0, abs=1e-14)
+    assert stats.median_variance(3) == pytest.approx(1.0 - math.sqrt(3.0) / math.pi, abs=1e-14)
+
+
+@pytest.mark.parametrize("r", [1, 3, 15, 101, 1001])
+def test_median_law_matches_denser_gauss_legendre(r):
+    # an independent, denser rule: 40 nodes on each of 128 panels
+    t, w = np.polynomial.legendre.leggauss(40)
+    half = 10.0 / 128 / 2.0
+    x = ((half * (2.0 * np.arange(128) + 1.0))[:, None] + half * t).ravel()
+    wx = np.tile(half * w, 128)
+    dens = np.array([stats.median_density(v, r) for v in x])
+    assert stats.median_variance(r) == pytest.approx(2.0 * np.dot(wx, x * x * dens), rel=1e-12)
+    assert stats.median_density_mass(r) == pytest.approx(2.0 * np.dot(wx, dens), rel=1e-13)
 
 
 def test_median_variance_approaches_asymptote_from_below():
