@@ -47,19 +47,11 @@ def _ints(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from None
 
 
-def _on_off(text: str) -> bool:
-    if text.lower() not in ("on", "off"):
-        raise argparse.ArgumentTypeError(f"expected on or off, got {text!r}")
-    return text.lower() == "on"
-
-
 # Each mode's settings, exactly those it reads: flag, namespace attribute,
-# type, default text, help.  A config-file key is the flag without its dashes;
-# its text replaces the default, a flag replaces both, and the type parses each.
+# type, default text, help.  The type parses the default text and the flag's.
 _SEED = ("--seed", "master_seed", int, str(DEFAULT_SEED), "master seed")
 _OUT = ("--out", "out_dir", Path, "results", "output directory")
 _BASE = ("--base", "base", int, "2", "net base")
-_SHIFT = ("--shift", "shift", _on_off, "on", "digital shift for linear kinds: on or off")
 _KINDS = ",".join(kind.value for kind in ScramblerKind)
 _INTEGRANDS = f"comma list: {','.join(BUILTINS)}"
 _M = "comma list of net exponents (n = base**m)"
@@ -70,20 +62,20 @@ _SETTINGS = {
         ("--m", "m_values", _ints, "4,6", _M),
         ("--r", "r_values", _ints, "1", "comma list of replicate counts per median"),
         ("--reps", "repetitions", int, "10000", "repetitions per cell"),
-        _BASE, _SHIFT, _SEED, _OUT),
+        _BASE, _SEED, _OUT),
     "convergence": (
         ("--scramblers", "scramblers", _names, "nested,matousek", f"comma list: {_KINDS}"),
         ("--integrands", "integrands", _names, "f1,f2", _INTEGRANDS),
         ("--m", "m_values", _ints, "4,5,6,7,8,9,10,11,12", _M),
         ("--r", "r_values", _ints, "101", "comma list of replicate counts per median"),
         ("--reps", "repetitions", int, "32", "repetitions per cell"),
-        _BASE, _SHIFT, _SEED, _OUT),
+        _BASE, _SEED, _OUT),
     "variance": (
         ("--scramblers", "scramblers", _names, _KINDS, f"comma list: {_KINDS}"),
         ("--integrands", "integrands", _names, "f1,f2,linear", _INTEGRANDS),
         ("--m", "m_values", _ints, "6", _M),
         ("--reps", "repetitions", int, "10000", "repetitions per cell, one batch"),
-        _BASE, _SHIFT, _SEED, _OUT),
+        _BASE, _SEED, _OUT),
     "acceptance": (
         ("--criteria", "criteria", _ints, "1,2,3,4,5,6,7,8,9,10", "criteria to run, e.g. 1,2,7"),
         _SEED, _OUT),
@@ -97,27 +89,6 @@ def validate(cfg: argparse.Namespace):
         raise UsageError(f"seed must be nonnegative, got {cfg.master_seed}")
     if cfg.mode == "acceptance" and any(c not in range(1, 11) for c in cfg.criteria):
         raise UsageError("criteria must be in 1..10")
-
-
-def _parse_config_file(path: Path, mode: str) -> dict[str, str]:
-    """The text a flat key = value file gives the mode's settings, by field."""
-    fields = {flag[2:]: field for flag, field, *_ in _SETTINGS[mode]}
-    out = {}
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in fields:
-            raise UsageError(f"{path}:{lineno}: unknown key {key!r} in {mode} mode")
-        out[fields[key]] = val
-    return out
 
 
 @dataclass(frozen=True)
@@ -158,8 +129,7 @@ def _plan(cfg: argparse.Namespace) -> list[_Cell]:
     if cfg.mode == "convergence" and len(cfg.m_values) < 3:
         raise UsageError("convergence mode needs at least 3 m values")
     try:
-        specs = [ScramblerSpec(name, base=cfg.base, shift=cfg.shift)
-                 for name in cfg.scramblers]
+        specs = [ScramblerSpec(name, base=cfg.base) for name in cfg.scramblers]
         fs = [builtin(name) for name in cfg.integrands]
         nets = [van_der_corput_net(cfg.base, m) for m in cfg.m_values]
     except (ValueError, MemoryError) as exc:
@@ -195,7 +165,8 @@ def run_histogram_mode(cfg: argparse.Namespace) -> int:
     60-bin density histogram on [-5, 5]; r = 1 rescales single estimates.
 
     Summary rows: rep 0 holds (variance of rescaled errors, out-of-range
-    count); rep 1 holds the KS statistic against the standard normal.
+    count), the variance 0 at one repetition; rep 1, written only from 100
+    repetitions on, holds the KS statistic against the standard normal.
     """
     cells = _plan(cfg)
     for cell in cells:
@@ -257,8 +228,9 @@ def run_variance_mode(cfg: argparse.Namespace) -> int:
     """Per cell: empirical Var(Q) over the repetitions against sigma^2/n^3.
 
     The repetitions are one batch, whose size the rows give as r.  Summary
-    rows: rep 0 holds (empirical variance, theoretical variance); rep 1
-    holds their ratio (0 when the theoretical variance is 0).
+    rows: rep 0 holds (empirical variance, theoretical variance), the first 0
+    at one repetition; rep 1 holds their ratio (0 when the theoretical
+    variance is 0).
     """
     lines = [CSV_HEADER]
     for cell in _plan(cfg):
@@ -301,8 +273,8 @@ _MODE_RUNNERS = {
 }
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The top-level parser and one subcommand parser per mode, from _SETTINGS."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The top-level parser, with one subcommand parser per mode from _SETTINGS."""
     parser = argparse.ArgumentParser(
         prog="rqmc-median", allow_abbrev=False,
         description="Scrambled-net experiments: error histograms, convergence "
@@ -310,20 +282,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     modes = parser.add_subparsers(dest="mode", required=True)
     for mode, settings in _SETTINGS.items():
         sub = modes.add_parser(mode, allow_abbrev=False)
-        sub.add_argument("--config", type=Path, metavar="FILE", help="flat key = value config file")
         for flag, field, kind, default, text in settings:
             sub.add_argument(flag, dest=field, type=kind, default=default,
                              metavar=flag[2:].upper(), help=f"{text} (default {default})")
-    return parser, modes.choices
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, modes = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.config is not None:  # the file's text replaces the mode's defaults
-            modes[args.mode].set_defaults(**_parse_config_file(args.config, args.mode))
-            args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         validate(args)
         return _MODE_RUNNERS[args.mode](args)
     except SystemExit as exc:  # argparse printed the help or a usage error

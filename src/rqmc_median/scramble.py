@@ -10,7 +10,7 @@ in all, each consuming an explicit seeded stream:
 * linear (affine matrix) scrambling -- digits are mapped through a random
   lower-triangular matrix mod b, in one of three classical shapes (free
   entries for matousek, Toeplitz for tezuka, constant columns for
-  striped), optionally followed by an additive random digit shift.
+  striped), followed by an additive random digit shift.
 
 Each takes (net, spec, stream) and rejects a spec of another kind;
 `apply_scrambler` dispatches on the spec.  In one dimension every digital
@@ -40,7 +40,7 @@ functions of (net, spec, stream): repeated calls give bit-identical output.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -96,16 +96,14 @@ class ScramblerSpec:
     Digits are uint8, so the base is at most 256.  A scramble carries
     `depth` = default_depth(base) digits, full double resolution in the
     base; base**depth < base * 2**53 <= 2**61, so every point code fits a
-    uint64.  `shift` (keyword-only) adds a uniform random digit vector mod b
-    after the matrix and applies to linear kinds only; without it the point
-    0.0 is a fixed point of every linear map and the one-point marginal is
-    not uniform.  Linear kinds need a prime base so the diagonal entries are
-    invertible mod b.
+    uint64.  A linear kind always adds a uniform random digit vector mod b
+    after the matrix: without it the point 0.0 is a fixed point of every
+    linear map and the one-point marginal is not uniform.  Linear kinds need
+    a prime base so the diagonal entries are invertible mod b.
     """
 
     kind: ScramblerKind
     base: int = 2
-    shift: bool = field(default=True, kw_only=True)
 
     def __post_init__(self):
         try:
@@ -249,7 +247,7 @@ def _nested_codes(base: int, m: int, depth: int, rng: np.random.Generator) -> np
 def _linear_columns(spec: ScramblerSpec, m: int, depth: int, rng: np.random.Generator
                     ) -> tuple[np.ndarray, np.ndarray]:
     """The first m columns (depth, m) of one lower-triangular matrix mod b and
-    the shift (depth,), zeros when it is off.
+    the shift (depth,).
 
     Draws in stream order: the diagonal entries, uniform on {1, ..., b-1},
     then the free entries, uniform on {0, ..., b-1}, then the shift.
@@ -268,15 +266,14 @@ def _linear_columns(spec: ScramblerSpec, m: int, depth: int, rng: np.random.Gene
     kind, base = spec.kind, spec.base
     diagonal, free = {ScramblerKind.MATOUSEK: (depth, depth * depth),
                       ScramblerKind.TEZUKA: (1, depth - 1), ScramblerKind.STRIPED: (depth, 0)}[kind]
-    shifted = depth if spec.shift else 0
     if base == 2:
         diag = np.ones(diagonal, dtype=np.int64)
-        bits = _raw_words(rng, free + shifted).view("<u4")[:free + shifted] >> 31
+        bits = _raw_words(rng, free + depth).view("<u4")[:free + depth] >> 31
         entries, shift = np.split(bits.astype(np.int64), [free])
     else:
         diag = rng.integers(1, base, size=diagonal, dtype=np.int64)
         entries = rng.integers(0, base, size=free, dtype=np.int64)
-        shift = rng.integers(0, base, size=shifted, dtype=np.int64)
+        shift = rng.integers(0, base, size=depth, dtype=np.int64)
     offset = np.arange(depth)[:, None] - np.arange(m)[None, :]  # row - column
     if kind == ScramblerKind.MATOUSEK:
         cols = np.where(offset > 0, entries.reshape(depth, depth)[:, :m], 0)
@@ -285,7 +282,7 @@ def _linear_columns(spec: ScramblerSpec, m: int, depth: int, rng: np.random.Gene
         cols = np.where(offset >= 0, np.concatenate([diag, entries])[np.maximum(offset, 0)], 0)
     else:
         cols = np.where(offset >= 0, diag[:m], 0)
-    return cols, shift if spec.shift else np.zeros(depth, dtype=np.int64)
+    return cols, shift
 
 
 def _linear_codes(spec: ScramblerSpec, m: int, depth: int,
@@ -372,9 +369,9 @@ def scramble_jittered(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> 
 def scramble_linear(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream) -> NetPoints:
     """Linear (affine matrix) scrambling with the family chosen by `spec.kind`.
 
-    One matrix (and one shift vector, if enabled) is drawn per call and
-    applied to every point of the net, which is what keeps the scrambled
-    points a net with probability one.
+    One matrix and one shift vector are drawn per call and applied to every
+    point of the net, which is what keeps the scrambled points a net with
+    probability one.
     """
     return _scramble_net(pts, spec, rs, LINEAR_KINDS)
 

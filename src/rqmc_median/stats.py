@@ -81,22 +81,18 @@ def ks_statistic_normal(values: Sequence[float]) -> float:
 def median_density(x: float, r: int) -> float:
     """Density of the median of r = 2k+1 iid standard normals at x.
 
-    r! / (k! k!) * Phi(x)**k * (1 - Phi(x))**k * phi(x), evaluated in log
-    space so large r stays finite; both CDF tails come from erfc for
-    accuracy far from the center.
+    r! / (k! k!) * Phi(x)**k * (1 - Phi(x))**k * phi(x), as the correctly
+    rounded r! / (k! k! 4**k) times (4 Phi(x) (1 - Phi(x)))**k, whose base is
+    at most 1, so the power underflows to 0 far out and never overflows; both
+    CDF tails come from erfc for accuracy far from the center.
     """
     if r < 1 or r % 2 == 0:
         raise ValueError(f"r must be a positive odd integer, got {r}")
     k = (r - 1) // 2
     pdf = _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-    if k == 0:
-        return pdf
     lower = 0.5 * math.erfc(-x / _SQRT2)
     upper = 0.5 * math.erfc(x / _SQRT2)
-    if lower <= 0.0 or upper <= 0.0:
-        return 0.0
-    log_comb = math.lgamma(r + 1) - 2.0 * math.lgamma(k + 1)
-    return math.exp(log_comb + k * (math.log(lower) + math.log(upper))) * pdf
+    return math.comb(r, k) * (k + 1) / 4**k * (4.0 * lower * upper) ** k * pdf
 
 
 @functools.cache
@@ -109,25 +105,31 @@ def _half_line_rule() -> tuple[list[float], np.ndarray]:
     return nodes.ravel().tolist(), np.tile(half * w, 32)
 
 
-def _even_integral(fn: Callable[[float], float]) -> float:
-    """Integral of an even function fn over [-10, 10]: twice the rule on [0, 10]."""
+def _median_law_integral(fn: Callable[[float], float], r: int) -> float:
+    """Integral over [-10, 10] of an even fn of the median density of r: twice
+    the rule on [0, 10], within 4e-14 relative up to r = 1001 but 7.7e-12 off
+    at r = 1501, where the density's peak narrows past it; larger r raises."""
+    if r > 1001:
+        raise ValueError(f"the median law is computed only for r <= 1001, got {r}")
     nodes, weights = _half_line_rule()
     return 2.0 * float(np.dot(weights, [fn(x) for x in nodes]))
 
 
 def median_density_mass(r: int) -> float:
-    """Total mass of the median density over [-10, 10] (should be 1)."""
-    return _even_integral(lambda x: median_density(x, r))
+    """Total mass of the median density over [-10, 10] (should be 1), for odd
+    r <= 1001."""
+    return _median_law_integral(lambda x: median_density(x, r), r)
 
 
 def median_variance(r: int) -> float:
-    """Exact finite-r variance of the median of r standard normals, by quadrature.
+    """Exact finite-r variance of the median of r standard normals, by quadrature,
+    for odd r <= 1001.
 
     Integrates x**2 times the median density over [-10, 10]; the mass beyond
     the truncation is far below 1e-12.  As r grows, r * median_variance(r)
     approaches pi / 2.
     """
-    return _even_integral(lambda x: x * x * median_density(x, r))
+    return _median_law_integral(lambda x: x * x * median_density(x, r), r)
 
 
 @dataclass(frozen=True, eq=False)

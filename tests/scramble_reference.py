@@ -112,13 +112,10 @@ def _draw_matrix(kind: ScramblerKind, base: int, depth: int,
 
 
 def _apply_linear(digmat: np.ndarray, base: int, matrix: np.ndarray,
-                  shift: np.ndarray | None) -> np.ndarray:
+                  shift: np.ndarray) -> np.ndarray:
     """x = (M a + shift) mod b applied to every digit row."""
     prod = digmat.astype(np.float64) @ matrix.T.astype(np.float64)  # exact small ints
-    out = prod.astype(np.int64)
-    if shift is not None:
-        out += shift
-    return (out % base).astype(np.uint8)
+    return ((prod.astype(np.int64) + shift) % base).astype(np.uint8)
 
 
 def reference_digits(net, spec, rs) -> np.ndarray:
@@ -134,7 +131,7 @@ def reference_digits(net, spec, rs) -> np.ndarray:
         return _apply_nested(digmat, base, tables, tail)
     assert spec.kind in LINEAR_KINDS
     matrix = _draw_matrix(spec.kind, base, depth, rng)
-    shift = rng.integers(0, base, size=depth, dtype=np.int64) if spec.shift else None
+    shift = rng.integers(0, base, size=depth, dtype=np.int64)
     return _apply_linear(digmat, base, matrix, shift)
 
 

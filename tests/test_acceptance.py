@@ -18,7 +18,7 @@ STRIPED_NOTE = (
     "constant over the net, and for f(x)=x the estimate is one number for "
     "every scramble, at every n and in every base: 1/2 - 2^-54 = "
     "(1 - 2^-53)/2 in base 2, and 0.5 in bases 3 and 5 (within 2^-53 of it "
-    "at m=1 with the shift).  "
+    "at m=1).  "
     "Measured Var/(sigma^2/n^3) for f1/f2 at seed 7 sits near 0.008/0.004 in "
     "base 2 (m=6), 0.021/0.011 in base 3 (m=3) and 0.040/0.022 in base 5 "
     "(m=2), far outside the 5%/10% windows; the other kinds agree with "

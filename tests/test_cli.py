@@ -1,3 +1,4 @@
+import argparse
 import os
 import re
 import subprocess
@@ -68,7 +69,7 @@ def test_linear_kind_rejects_nonprime_base(capsys):
     (["variance", "--m", "2", "--r", "1,15", "--reps", "3"], "unrecognized arguments: --r"),
     (["variance", "--m", "2", "--r", "15", "--reps", "3"], "unrecognized arguments: --r"),
     (["variance", "--m", "2", "--r", "1", "--reps", "3"], "unrecognized arguments: --r"),
-    # a mode takes only the flags and config-file keys it reads
+    # a mode takes only the flags it reads
     (["acceptance", "--criteria", "9", "--scramblers", "bogus"],
      "unrecognized arguments: --scramblers"),
     (["acceptance", "--criteria", "9", "--base", "3"], "unrecognized arguments: --base"),
@@ -76,7 +77,17 @@ def test_linear_kind_rejects_nonprime_base(capsys):
     (["acceptance", "--criteria", "9", "--reps", "0"], "unrecognized arguments: --reps"),
     (["histogram", "--criteria", "1", "--m", "2", "--reps", "3"],
      "unrecognized arguments: --criteria"),
-    (["acceptance", "--criteria", "9", "--config", "m4.cfg"], "unknown key 'm'"),
+    # flags are the only settings, and linear scrambles always shift
+    (["histogram", "--m", "2", "--reps", "3", "--config", "m4.cfg"],
+     "unrecognized arguments: --config"),
+    (["convergence", "--m", "2,3,4", "--reps", "3", "--config", "m4.cfg"],
+     "unrecognized arguments: --config"),
+    (["variance", "--m", "2", "--reps", "3", "--config", "m4.cfg"],
+     "unrecognized arguments: --config"),
+    (["acceptance", "--criteria", "9", "--config", "m4.cfg"],
+     "unrecognized arguments: --config"),
+    (["variance", "--m", "2", "--reps", "3", "--shift", "off"],
+     "unrecognized arguments: --shift"),
     # no abbreviations: --rep is not --reps
     (["variance", "--m", "2", "--rep", "5"], "unrecognized arguments: --rep"),
 ], ids=["base-257", "base-1", "seed-histogram", "seed-convergence", "seed-variance",
@@ -85,10 +96,12 @@ def test_linear_kind_rejects_nonprime_base(capsys):
         "repeated-integrand", "repeated-m-histogram", "repeated-m-convergence", "repeated-r",
         "variance-r-list", "variance-r-15", "variance-r-1", "acceptance-scramblers",
         "acceptance-base", "acceptance-m", "acceptance-reps", "histogram-criteria",
-        "acceptance-config-m", "abbreviated-flag"])
+        "histogram-config", "convergence-config", "variance-config", "acceptance-config",
+        "variance-shift-off", "abbreviated-flag"])
 def test_bad_input_is_usage_error(tmp_path, monkeypatch, capsys, argv, text):
     monkeypatch.chdir(tmp_path)
-    Path("m4.cfg").write_text("m = 4\n", encoding="utf-8")  # for acceptance-config-m
+    # a real file, so --config fails as a flag and not as a missing file
+    Path("m4.cfg").write_text("m = 4\n", encoding="utf-8")
     assert main(argv + ["--out", "out"]) == 2
     assert text in capsys.readouterr().err
     assert not Path("out").exists()
@@ -154,7 +167,8 @@ def test_readme_synopsis_lists_each_modes_flags():
         if line.startswith("rqmc-median "):
             mode = line.split()[1]
         documented.setdefault(mode, set()).update(re.findall(r"\[(--[a-z-]+)", line))
-    _, modes = cli._build_parser()
+    (modes,) = [action.choices for action in cli._build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction)]
     flags = {name: {s for s in sub._option_string_actions if s.startswith("--")} - {"--help"}
              for name, sub in modes.items()}
     assert documented == flags
@@ -181,49 +195,6 @@ def test_convergence_needs_three_m_values(capsys):
     assert "3 m values" in capsys.readouterr().err
 
 
-def test_config_file_unknown_key(tmp_path, capsys):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text("repz=10\n", encoding="utf-8")
-    assert main(["variance", "--config", str(cfg)]) == 2
-    assert "unknown key" in capsys.readouterr().err
-
-
-def test_config_file_missing(tmp_path, capsys):
-    assert main(["variance", "--config", str(tmp_path / "nope.cfg")]) == 2
-
-
-def test_config_file_criteria(tmp_path, capsys):
-    # an acceptance config file sets the criteria, parsed as --criteria would be
-    cfg = tmp_path / "acc.cfg"
-    cfg.write_text("criteria = 9\n", encoding="utf-8")
-    assert main(["acceptance", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("PASS  9 ")
-    for bad in ("criteria = 11\n", "criteria = 9,x\n"):
-        cfg.write_text(bad, encoding="utf-8")
-        assert main(["acceptance", "--config", str(cfg), "--out", str(tmp_path / "bad")]) == 2
-    assert not (tmp_path / "bad").exists()
-
-
-# ------------------------------------------------------------- config file
-
-def test_config_file_with_cli_override(tmp_path):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(
-        "# tiny smoke config\n"
-        "scramblers = jittered\n"
-        "integrands = linear\n"
-        "m = 3\n"
-        "reps = 40\n"
-        f"out = {tmp_path / 'a'}\n",
-        encoding="utf-8")
-    assert main(["variance", "--config", str(cfg)]) == 0
-    assert (tmp_path / "a" / "variance.csv").exists()
-    # --out on the command line beats the file
-    assert main(["variance", "--config", str(cfg), "--out", str(tmp_path / "b")]) == 0
-    assert (tmp_path / "b" / "variance.csv").exists()
-
-
 # ------------------------------------------------------------- modes
 
 def test_histogram_mode_cells_and_schema(tmp_path):
@@ -243,6 +214,12 @@ def test_histogram_mode_cells_and_schema(tmp_path):
     assert len(summaries) == 2  # variance/outside and ks rows
     first = raws[0].split(",")
     assert first[:7] == ["nested", "f1", "2", "4", "16", "1", "0"]
+    # below 100 repetitions no KS statistic is taken: only the rep 0 summary row
+    assert main(["histogram", "--scramblers", "nested", "--integrands", "f1", "--m", "4",
+                 "--reps", "99", "--out", str(tmp_path / "few")]) == 0
+    _, lines = _read(tmp_path / "few" / "hist_nested_f1_m4_r1.csv")
+    summaries = [l.split(",") for l in lines if l.split(",")[9] == "summary"]
+    assert [row[6] for row in summaries] == ["0"]
 
 
 def test_histogram_median_mode_uses_median_rescaling(tmp_path):
@@ -270,13 +247,6 @@ def test_histogram_rejects_constant_integrand(tmp_path, capsys):
     assert code == 2
     assert "gradient energy" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())  # rejected before the f1 cell is written
-
-
-def test_shift_off_accepted(tmp_path):
-    code = main(["variance", "--scramblers", "matousek", "--integrands", "f2",
-                 "--m", "3", "--reps", "30", "--shift", "off",
-                 "--out", str(tmp_path)])
-    assert code == 0
 
 
 def test_even_r_warning(tmp_path, capsys):

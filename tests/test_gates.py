@@ -7,7 +7,7 @@ c9 through a replacement for its median-law oracle.  The passing side of c1
 to c5 is an exact sample of its law (the normal quantiles at (i - 0.5)/n,
 scaled to the sample variance the criterion tests), and of c6 an exact
 power of n; the passing side of c7, c8 and c9 is the real pipeline at the
-default seed.
+default seed.  c10 runs over nine constant stand-in criteria.
 """
 
 import math
@@ -282,3 +282,29 @@ def test_c9_fails_a_mass_2e_8_high(monkeypatch):
     assert not res.passed
     assert res.measured["mass_defect_r1"] == pytest.approx(2e-8)
     assert abs(res.measured["sim_var_r3"] / res.measured["quad_var_r3"] - 1.0) <= 0.01
+
+
+def _constant_criteria():
+    """Nine stand-in criteria, each passing with one fixed measured value."""
+    return {i: (lambda ctx, i=i: acceptance.CriterionResult(i, f"stub-{i}", True, {"value": i}))
+            for i in range(1, 10)}
+
+
+def test_c10_passes_two_equal_passes(monkeypatch):
+    monkeypatch.setattr(acceptance, "_CRITERIA", _constant_criteria())
+    (res,) = acceptance.run_acceptance(DEFAULT_SEED, [10])
+    assert res.index == 10 and res.passed
+
+
+def test_c10_fails_a_value_that_changes_on_the_second_pass(monkeypatch):
+    calls = []
+
+    def drifting(ctx):
+        calls.append(ctx)
+        return acceptance.CriterionResult(4, "stub-4", True, {"value": 3 + len(calls)})
+
+    monkeypatch.setattr(acceptance, "_CRITERIA", {**_constant_criteria(), 4: drifting})
+    (res,) = acceptance.run_acceptance(DEFAULT_SEED, [10])
+    assert len(calls) == 2 and not res.passed
+    # 4 and 5 print alike in length: the passes differ in bytes, not in size
+    assert res.measured["bytes_first"] == res.measured["bytes_second"]

@@ -1,4 +1,3 @@
-import itertools
 import math
 from fractions import Fraction
 
@@ -107,7 +106,7 @@ def test_jittered_offsets_uniform():
 def test_linear_identity_matrix_fixes_input():
     net = van_der_corput_net(2, 3)
     digmat = input_digits(net, 6)
-    out = _apply_linear(digmat, 2, np.eye(6, dtype=np.int64), None)
+    out = _apply_linear(digmat, 2, np.eye(6, dtype=np.int64), 0)
     assert np.array_equal(out, digmat)
 
 
@@ -115,29 +114,20 @@ def test_linear_hand_matrix_product():
     # [[1,0],[1,1]] over GF(2) on digits (1,0): 0.5 -> 0.75
     digmat = np.array([[1, 0]], dtype=np.uint8)
     matrix = np.array([[1, 0], [1, 1]], dtype=np.int64)
-    out = _apply_linear(digmat, 2, matrix, None)
+    out = _apply_linear(digmat, 2, matrix, 0)
     assert out.tolist() == [[1, 1]]
     assert _digit_values(out, 2)[0] == 0.75
-
-
-@pytest.mark.parametrize("kind", sorted(LINEAR_KINDS, key=lambda k: k.value))
-def test_linear_shift_off_fixes_zero(kind):
-    net = van_der_corput_net(2, 3)
-    spec = ScramblerSpec(kind, base=2, shift=False)
-    for j in range(25):
-        out = scramble_linear(net, spec, RandomStream(808, j))
-        assert out.points[0] == 0.0  # the zero point is fixed by any linear map
 
 
 @pytest.mark.parametrize(
     "kind", [k for k in ALL_KINDS if k is not ScramblerKind.JITTERED],
     ids=lambda k: k.value)
 def test_marginal_uniformity(kind):
-    # each output point index is marginally Uniform[0, 1) (shift on for the
-    # linear families); jittered points are uniform on their stratum instead,
-    # which test_jittered_offsets_uniform covers
+    # each output point index is marginally Uniform[0, 1) (the linear
+    # families through their shift); jittered points are uniform on their
+    # stratum instead, which test_jittered_offsets_uniform covers
     net = van_der_corput_net(2, 3)
-    spec = ScramblerSpec(kind, base=2, shift=True)
+    spec = ScramblerSpec(kind, base=2)
     reps = 10_000
     pts = np.array([apply_scrambler(net, spec, RandomStream(909, j)).points
                     for j in range(reps)])
@@ -194,11 +184,12 @@ def test_scramblers_reject_other_kinds(scramble, kind):
         scramble(net, ScramblerSpec(kind, base=2), RandomStream(1, 0))
 
 
-def test_spec_shift_is_keyword_only():
-    # a depth passed positionally, as ScramblerSpec(kind, base, depth), must not become the shift
+def test_spec_takes_only_kind_and_base():
+    # linear kinds always shift, and a spec has no depth: a third argument is an error
     with pytest.raises(TypeError):
         ScramblerSpec(ScramblerKind.NESTED, 2, None)
-    assert ScramblerSpec(ScramblerKind.MATOUSEK, 3, shift=False).shift is False
+    with pytest.raises(TypeError):
+        ScramblerSpec(ScramblerKind.MATOUSEK, 2, shift=True)
 
 
 # ---------------------------------------------------------------- generic
@@ -295,12 +286,9 @@ def _check_against_reference(net, spec, rs):
     [pytest.param(m, base, id=f"{m}-{base}") for m in (0, 1, 3, 6) for base in (2, 3, 5)]
     + [pytest.param(m, 2, id=f"{m}-2") for m in (9, 12)])
 def test_scramblers_match_reference(kind, base, m):
-    net = van_der_corput_net(base, m)
-    shifts = (True, False) if kind in LINEAR_KINDS else (True,)
-    for shift in shifts:
-        spec = ScramblerSpec(kind, base=base, shift=shift)
-        for j in (0, 1, 2, 2**32 + 7):
-            _check_against_reference(net, spec, RandomStream(2024, j))
+    net, spec = van_der_corput_net(base, m), ScramblerSpec(kind, base=base)
+    for j in (0, 1, 2, 2**32 + 7):
+        _check_against_reference(net, spec, RandomStream(2024, j))
 
 
 def test_base2_draws_are_fixed_bits_of_the_raw_words():
@@ -409,18 +397,18 @@ def test_striped_collapses_in_every_base():
     # Every row part (h_1, ..., h_m) is nonzero, so no output digit is
     # constant over the net and the estimate of the integral of x is one
     # number: in base 2 the mean of depth-53 digits, (1 - 2**-53) / 2, and
-    # 0.5 in odd bases, up to rounding at m = 1 with the shift
+    # 0.5 in odd bases, up to rounding at m = 1
     lin, keys = builtin("linear"), [(5, j) for j in range(500)]
     for base, ms in ((2, (1, 3, 8, 12)), (3, (1, 2, 3)), (5, (1, 2))):
-        for shift, m in itertools.product((True, False), ms):
-            spec = ScramblerSpec(ScramblerKind.STRIPED, base=base, shift=shift)
+        spec = ScramblerSpec(ScramblerKind.STRIPED, base=base)
+        for m in ms:
             est = estimates([lin], spec, m, keys)[:, 0]
             if base == 2:
-                assert np.all(est == 0.5 - 2.0**-54), (base, m, shift)
-            elif m == 1 and shift:
-                assert np.all(np.abs(est - 0.5) <= 2.0**-53), (base, m, shift)
+                assert np.all(est == 0.5 - 2.0**-54), (base, m)
+            elif m == 1:
+                assert np.all(np.abs(est - 0.5) <= 2.0**-53), (base, m)
             else:
-                assert np.all(est == 0.5), (base, m, shift)
+                assert np.all(est == 0.5), (base, m)
 
 
 def _no_zero_run(m, bits=52):
@@ -440,8 +428,8 @@ def _estimates_of_x(kind, m, count, base=2):
 def _exact_law(kind, m):
     # The base-2 estimate of the integral of x is (1 - 2**-53) / 2 plus
     # sum over k in Z of (s_k - 1/2) 2**-k, where Z holds the output digits
-    # m < k <= 53 whose row part is zero and s is the shift.  With the shift
-    # on every term is nonzero, so P(estimate = 1/2 - 2**-54) = P(Z empty):
+    # m < k <= 53 whose row part is zero and s is the shift.  Every term is
+    # nonzero, so P(estimate = 1/2 - 2**-54) = P(Z empty):
     # (1 - 2**-m)**(53 - m) for matousek, whose row parts are iid; for
     # tezuka, whose row parts are m consecutive entries of the first column,
     # the chance of no run of m zeros in its 52 random bits
@@ -459,7 +447,7 @@ def test_linear_estimate_of_x_exact_law(kind, m):
 @pytest.mark.parametrize("base, m, digits", [(3, 3, 20), (5, 2, 14)])
 def test_matousek_odd_base_estimate_of_x_exact_law(base, m, digits):
     # In an odd base the error against the depth-digit mean (1 - b**-depth)/2
-    # is the sum over k in Z of (s_k - (b - 1)/2) b**-k, with the shift s on,
+    # is the sum over k in Z of (s_k - (b - 1)/2) b**-k, with s the shift,
     # and a term is zero when s_k is the middle digit.  With K = digits, a
     # nonzero term at k <= K makes |error| at least b**-K / 2 and the terms
     # past K sum to less, so |error| < b**-K / 2 iff no k in m < k <= K has a

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -107,6 +108,29 @@ def test_median_density_symmetry_and_tails():
 @pytest.mark.parametrize("r", [1, 3, 15, 101])
 def test_median_density_normalized(r):
     assert abs(stats.median_density_mass(r) - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("r", [101, 1001])
+def test_median_density_at_zero_to_ulps(r):
+    # at 0, r! / (k! k!) / 4**k = (2k + 1) * prod_{j <= k} (2j - 1) / (2j), exactly
+    k = (r - 1) // 2
+    coef = Fraction(2 * k + 1)
+    for j in range(1, k + 1):
+        coef *= Fraction(2 * j - 1, 2 * j)
+    exact = float(coef) / math.sqrt(2.0 * math.pi)
+    assert abs(stats.median_density(0.0, r) - exact) <= 4 * math.ulp(exact)
+
+
+def test_median_density_mass_at_largest_r():
+    assert abs(stats.median_density_mass(1001) - 1.0) <= 1e-13
+
+
+def test_median_law_refuses_r_beyond_its_rule():
+    # the fixed rule under-resolves the peak past c4's largest r, 1001
+    stats.median_variance(1001)
+    for law in (stats.median_density_mass, stats.median_variance):
+        with pytest.raises(ValueError, match="r <= 1001"):
+            law(1003)
 
 
 def test_median_law_validation():
