@@ -88,7 +88,14 @@ def replicate_batch(f: IntegrandSpec, spec: ScramblerSpec, m: int, r: int,
 
 
 def median_estimator(values: Sequence[float]) -> float:
-    """Sample median; for even r, the midpoint of the two central order statistics."""
-    if len(values) == 0:
+    """Sample median; for even r, the midpoint of the two central order statistics.
+
+    The bits of float(np.median(values)), from a sorted list: a NaN gives NaN,
+    and the middle values are added onto 0.0, as numpy's mean does (-0.0 -> 0.0)."""
+    xs = sorted(values.tolist() if isinstance(values, np.ndarray) else values)
+    if not xs:
         raise ValueError("need at least one estimate")
-    return float(np.median(values))
+    if any(map(math.isnan, xs)):
+        return math.nan
+    k = len(xs) // 2
+    return float(xs[k] + 0.0 if len(xs) % 2 else (xs[k - 1] + (xs[k] + 0.0)) / 2)

@@ -21,17 +21,19 @@ x = k / b**depth, where depth = default_depth(b) digits reach full double
 resolution in base b.  The van der Corput net has digits that are zero
 past position m and point i carries the digits of i, so the net grows
 b-fold per digit.  A linear scramble of it needs only the first m columns
-of its matrix (in base 2 each column packs into one word and the scramble
-is m rounds of XOR), and a nested scramble is a gather of permuted digits
-at fixed tree nodes followed by uniform tail digits.
+of its matrix (in base 2 each column is one word, summed from the drawn
+bits with no matrix built, and the scramble is m rounds of XOR), and a
+nested scramble is a gather of permuted digits at fixed tree nodes followed
+by uniform tail digits.
 
 Each scramble draws from its stream's own generator.  In base 2 every
 range is a power of two, so numpy's bounded integers (Lemire's method) and
 its Fisher-Yates swaps never reject and each draw is one fixed bit of a
 32-bit half of a PCG64 word: nested and linear scrambles read those bits
 straight off one `random_raw` call, the same draws `Generator.permuted` and
-`Generator.integers` would make.  Odd bases, where draws can reject, and
-jittered sampling call the `Generator` methods.
+`Generator.integers` would make, and write them into packed digit rows
+(nested) or sum them into column and shift words (linear).  Odd bases,
+where draws can reject, and jittered sampling call the `Generator` methods.
 
 All scramblers preserve the net property exactly at digit level and are pure
 functions of (net, spec, stream): repeated calls give bit-identical output.
@@ -179,21 +181,9 @@ def _layout(base: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return node_index, tables
 
 
-def _packed(rows: np.ndarray) -> np.ndarray:
-    """uint64 codes of (k, 64) rows of bits, most significant first: one flat pack."""
-    return np.packbits(rows.reshape(-1)).view(">u8").astype(np.uint64)
-
-
 def _codes(digits: np.ndarray, base: int) -> np.ndarray:
-    """uint64 codes sum_k digits[:, k] * base**(width-1-k) of digit rows.
-
-    In base 2 each row, right-aligned in 64 digits, packs into one word.
-    """
+    """uint64 codes sum_k digits[:, k] * base**(width-1-k) of odd-base digit rows."""
     width = digits.shape[-1]
-    if base == 2:
-        rows = np.zeros((len(digits), 64), dtype=np.uint8)
-        rows[:, 64 - width:] = digits
-        return _packed(rows)
     weights = base ** np.arange(width - 1, -1, -1, dtype=np.uint64)
     return np.einsum("...k,k->...", digits.astype(np.uint64, copy=False), weights)
 
@@ -239,15 +229,21 @@ def _nested_codes(base: int, m: int, depth: int, rng: np.random.Generator) -> np
         rows[:, 64 - depth:64 - tail] = np.column_stack([kept ^ 1, kept]).ravel()[node_index]
         tail_bytes = words.view(np.uint8)[4 * nodes:4 * nodes + n * tail].reshape(n, tail)
         np.right_shift(tail_bytes, 7, out=rows[:, 64 - tail:])
-        return _packed(rows)
+        return np.packbits(rows.reshape(-1)).view(">u8").astype(np.uint64)  # one flat pack
     head = rng.permuted(tables, axis=1).ravel()[node_index]
     return _codes(np.hstack([head, rng.integers(0, base, size=(n, tail), dtype=np.uint8)]), base)
 
 
+def _draw_counts(kind: ScramblerKind, depth: int) -> tuple[int, int]:
+    """(diagonal, free): the entries a linear kind draws before its shift."""
+    return {ScramblerKind.MATOUSEK: (depth, depth * depth), ScramblerKind.TEZUKA: (1, depth - 1),
+            ScramblerKind.STRIPED: (depth, 0)}[kind]
+
+
 def _linear_columns(spec: ScramblerSpec, m: int, depth: int, rng: np.random.Generator
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """The first m columns (depth, m) of one lower-triangular matrix mod b and
-    the shift (depth,).
+    """The first m columns (depth, m) of one lower-triangular matrix mod an odd
+    prime b and the shift (depth,).
 
     Draws in stream order: the diagonal entries, uniform on {1, ..., b-1},
     then the free entries, uniform on {0, ..., b-1}, then the shift.
@@ -255,25 +251,14 @@ def _linear_columns(spec: ScramblerSpec, m: int, depth: int, rng: np.random.Gene
     only the strictly-lower part is used; tezuka draws its first column
     top-down, one diagonal entry then the free ones, and is constant along
     each diagonal; striped draws its column constants left to right as its
-    diagonal and has constant columns.
-
-    In base 2 no draw rejects, so the draws of `Generator.integers` are read
-    off the raw words: a draw on {1} takes nothing from the stream, so every
-    diagonal entry is one, and each free entry, then each shift digit, is
-    bit 31 of the next 32-bit half (Lemire's bounded integer on {0, 1}).
-    Odd bases call `Generator`.
+    diagonal and has constant columns.  Base 2 reads the same draws off the
+    raw words (`_linear_layout`) and builds no matrix.
     """
     kind, base = spec.kind, spec.base
-    diagonal, free = {ScramblerKind.MATOUSEK: (depth, depth * depth),
-                      ScramblerKind.TEZUKA: (1, depth - 1), ScramblerKind.STRIPED: (depth, 0)}[kind]
-    if base == 2:
-        diag = np.ones(diagonal, dtype=np.int64)
-        bits = _raw_words(rng, free + depth).view("<u4")[:free + depth] >> 31
-        entries, shift = np.split(bits.astype(np.int64), [free])
-    else:
-        diag = rng.integers(1, base, size=diagonal, dtype=np.int64)
-        entries = rng.integers(0, base, size=free, dtype=np.int64)
-        shift = rng.integers(0, base, size=depth, dtype=np.int64)
+    diagonal, free = _draw_counts(kind, depth)
+    diag = rng.integers(1, base, size=diagonal, dtype=np.int64)
+    entries = rng.integers(0, base, size=free, dtype=np.int64)
+    shift = rng.integers(0, base, size=depth, dtype=np.int64)
     offset = np.arange(depth)[:, None] - np.arange(m)[None, :]  # row - column
     if kind == ScramblerKind.MATOUSEK:
         cols = np.where(offset > 0, entries.reshape(depth, depth)[:, :m], 0)
@@ -285,6 +270,31 @@ def _linear_columns(spec: ScramblerSpec, m: int, depth: int, rng: np.random.Gene
     return cols, shift
 
 
+@functools.lru_cache(maxsize=64)
+def _linear_layout(kind: ScramblerKind, depth: int, m: int
+                   ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """(halves drawn, index, weights, ones), read-only: the base-2 words of
+    `_linear_columns`, m columns then the shift, from the drawn bits.
+
+    No base-2 draw rejects: a draw on {1} takes nothing, so the diagonal is
+    all ones, and each free entry, then each shift digit, is bit 31 of the
+    next 32-bit half.  Word k sums, over rows i, the bit of half `index[k,
+    i]` times `weights[k, i]` (2**(depth-1-i) if drawn, else 0), plus
+    `ones[k]`: its diagonal, or striped's whole column."""
+    free = _draw_counts(kind, depth)[1]
+    k, i = np.arange(m)[:, None], np.arange(depth)[None, :]
+    weight = np.uint64(1) << np.arange(depth - 1, -1, -1, dtype=np.uint64)
+    # matousek's entry (i, k) of its square block, tezuka's entry i - k of its first column
+    column = i * depth + k if kind == ScramblerKind.MATOUSEK else np.maximum(i - k - 1, 0)
+    drawn = np.vstack([(i > k) & (kind != ScramblerKind.STRIPED), i >= 0])
+    ones = 2 * weight[:m] - 1 if kind == ScramblerKind.STRIPED else weight[:m]
+    layout = (np.vstack([column, free + i]), np.where(drawn, weight, np.uint64(0)),
+              np.append(ones, np.uint64(0)))
+    for arr in layout:
+        arr.flags.writeable = False
+    return (free + depth, *layout)
+
+
 def _linear_codes(spec: ScramblerSpec, m: int, depth: int,
                   rng: np.random.Generator) -> np.ndarray:
     """The matrix, then the shift; van der Corput point i gets M a_i + shift mod b.
@@ -294,13 +304,15 @@ def _linear_codes(spec: ScramblerSpec, m: int, depth: int,
     a add a times column k of M to the points before them.
     """
     base = spec.base
-    cols, shift = _linear_columns(spec, m, depth, rng)
     if base == 2:
-        words = _codes(np.vstack([cols.T, shift]), base)  # the m columns, then the shift
+        halves, index, weights, ones = _linear_layout(spec.kind, depth, m)
+        bits = _raw_words(rng, halves).view("<u4")[index] >> 31
+        words = (bits * weights).sum(axis=1) + ones  # distinct powers of two: the sum is OR
         codes = np.full(2**m, words[m])
         for k in range(m):
             np.bitwise_xor(codes[:2**k], words[k], out=codes[2**k:2**(k + 1)])
         return codes
+    cols, shift = _linear_columns(spec, m, depth, rng)
     small = np.min_scalar_type(2 * base - 2)  # holds a digit, or the sum of two
     digits = shift.astype(small)[None, :]
     for k in range(m):

@@ -103,6 +103,35 @@ def test_median_examples():
     assert median_estimator(np.array([0.1, 0.4, 0.6, 0.9])) == 0.5
 
 
+def _np_median_bits(values):
+    with np.errstate(all="ignore"):  # inf - inf and overflow are part of the bits
+        return np.float64(np.median(values)).tobytes()
+
+
+_TIES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 1e308, -1e308, 5e-324]
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from(_TIES), st.floats(width=64)), min_size=1,
+                max_size=41),
+       st.booleans())
+@example([-0.0], False)
+@example([-0.0, -0.0], True)
+@example([math.inf, -math.inf], False)
+@example([1e308, 1e308], True)
+@example([1.0, math.nan, 2.0], True)
+@example([0.5] * 101, False)
+def test_median_keeps_np_median_bits(values, as_array):
+    # odd and even sizes, ties, signed zeros, infinities and NaN: the bits
+    # of float(np.median(v)), or NaN where np.median gives NaN
+    v = np.array(values) if as_array else values
+    got, want = median_estimator(v), _np_median_bits(v)
+    if math.isnan(got):
+        assert np.isnan(np.frombuffer(want)[0])
+    else:
+        assert np.float64(got).tobytes() == want
+
+
 def test_batch_validation():
     with pytest.raises(ValueError):
         replicate_batch(builtin("f1"), SPEC, 2, 0, 1)

@@ -31,9 +31,8 @@ def test_vdc_matches_fraction_oracle(base, m):
     # independent radical inverse: mirror digits of i as an exact rational
     net = van_der_corput_net(base, m)
     for i in range(base**m):
-        dig = int_digits(i, base, m)
-        frac = sum(Fraction(d, base ** (m - k)) for k, d in enumerate(dig))
-        assert net.points[i] == float(frac)
+        mirrored = sum(d * base**k for k, d in enumerate(int_digits(i, base, m)))
+        assert net.points[i] == float(Fraction(mirrored, base**m))
 
 
 @given(st.sampled_from([2, 3, 5, 7]), st.integers(min_value=0, max_value=6))

@@ -291,6 +291,19 @@ def test_scramblers_match_reference(kind, base, m):
         _check_against_reference(net, spec, RandomStream(2024, j))
 
 
+@pytest.mark.parametrize("kind", sorted(LINEAR_KINDS), ids=lambda k: k.value)
+def test_base2_linear_words_match_reference_at_every_m(kind):
+    # base-2 linear codes are summed from raw bits; the reference draws its
+    # matrix and shift through Generator.integers and never reads raw bits
+    spec = ScramblerSpec(kind)
+    for m in range(13):
+        net = van_der_corput_net(2, m)
+        for j in (*range(15), 2**32 + 7):
+            rs = RandomStream(606, j)
+            points = _unit(_scrambled_codes(net, spec, rs), 2, spec.depth)
+            assert points.tobytes() == reference_points(net, spec, rs).tobytes(), (m, j)
+
+
 def test_base2_draws_are_fixed_bits_of_the_raw_words():
     # The base-2 scramblers read these draws off `random_raw` instead of
     # calling Generator; that is exact only while numpy's bounded integers
