@@ -34,6 +34,9 @@ straight off one `random_raw` call, the same draws `Generator.permuted` and
 `Generator.integers` would make, and write them into packed digit rows
 (nested) or sum them into column and shift words (linear).  Odd bases,
 where draws can reject, and jittered sampling call the `Generator` methods.
+One table per (kind, depth, m), `_linear_layout`, is the only place that
+states a linear kind's draws and matrix shape: odd bases gather their drawn
+digits into columns through it, and base 2 derives its words from it.
 
 All scramblers preserve the net property exactly at digit level and are pure
 functions of (net, spec, stream): repeated calls give bit-identical output.
@@ -234,62 +237,48 @@ def _nested_codes(base: int, m: int, depth: int, rng: np.random.Generator) -> np
     return _codes(np.hstack([head, rng.integers(0, base, size=(n, tail), dtype=np.uint8)]), base)
 
 
-def _draw_counts(kind: ScramblerKind, depth: int) -> tuple[int, int]:
-    """(diagonal, free): the entries a linear kind draws before its shift."""
-    return {ScramblerKind.MATOUSEK: (depth, depth * depth), ScramblerKind.TEZUKA: (1, depth - 1),
-            ScramblerKind.STRIPED: (depth, 0)}[kind]
+@functools.lru_cache(maxsize=64)
+def _linear_layout(kind: ScramblerKind, depth: int, m: int) -> tuple[int, int, np.ndarray]:
+    """(diagonal, free, source): the draws and shape of a linear kind's first
+    m columns, the one place that states them, for every base.
 
-
-def _linear_columns(spec: ScramblerSpec, m: int, depth: int, rng: np.random.Generator
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """The first m columns (depth, m) of one lower-triangular matrix mod an odd
-    prime b and the shift (depth,).
-
-    Draws in stream order: the diagonal entries, uniform on {1, ..., b-1},
-    then the free entries, uniform on {0, ..., b-1}, then the shift.
-    matousek draws its whole diagonal, then a full square block of which
-    only the strictly-lower part is used; tezuka draws its first column
-    top-down, one diagonal entry then the free ones, and is constant along
-    each diagonal; striped draws its column constants left to right as its
-    diagonal and has constant columns.  Base 2 reads the same draws off the
-    raw words (`_linear_layout`) and builds no matrix.
+    A linear scramble draws its diagonal entries, uniform on {1, ..., b-1},
+    then its free entries, uniform on {0, ..., b-1}, then its shift.
+    `source[k, i]` (read-only) is the index, in the diagonal-then-free
+    draws, of entry i of column k, and -1 above the diagonal.  matousek
+    draws its whole diagonal, then a full square block of which only the
+    strictly-lower part is used; tezuka draws its first column top-down,
+    one diagonal entry then the free ones, and is constant along each
+    diagonal; striped draws its column constants as its diagonal.
     """
-    kind, base = spec.kind, spec.base
-    diagonal, free = _draw_counts(kind, depth)
-    diag = rng.integers(1, base, size=diagonal, dtype=np.int64)
-    entries = rng.integers(0, base, size=free, dtype=np.int64)
-    shift = rng.integers(0, base, size=depth, dtype=np.int64)
-    offset = np.arange(depth)[:, None] - np.arange(m)[None, :]  # row - column
-    if kind == ScramblerKind.MATOUSEK:
-        cols = np.where(offset > 0, entries.reshape(depth, depth)[:, :m], 0)
-        cols[np.arange(m), np.arange(m)] = diag[:m]
-    elif kind == ScramblerKind.TEZUKA:  # entry (i, j) is entry i - j of the first column
-        cols = np.where(offset >= 0, np.concatenate([diag, entries])[np.maximum(offset, 0)], 0)
-    else:
-        cols = np.where(offset >= 0, diag[:m], 0)
-    return cols, shift
+    k, i = np.arange(m)[:, None], np.arange(depth)[None, :]
+    diagonal, free, source = {
+        ScramblerKind.MATOUSEK: (depth, depth * depth, np.where(i > k, depth + i * depth + k, k)),
+        ScramblerKind.TEZUKA: (1, depth - 1, i - k),
+        ScramblerKind.STRIPED: (depth, 0, k),
+    }[kind]
+    source = np.where(i >= k, source, -1)
+    source.flags.writeable = False
+    return diagonal, free, source
 
 
 @functools.lru_cache(maxsize=64)
-def _linear_layout(kind: ScramblerKind, depth: int, m: int
-                   ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+def _base2_words(kind: ScramblerKind, depth: int, m: int
+                 ) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     """(halves drawn, index, weights, ones), read-only: the base-2 words of
-    `_linear_columns`, m columns then the shift, from the drawn bits.
+    `_linear_layout`'s table, m columns then the shift, from the drawn bits.
 
-    No base-2 draw rejects: a draw on {1} takes nothing, so the diagonal is
-    all ones, and each free entry, then each shift digit, is bit 31 of the
-    next 32-bit half.  Word k sums, over rows i, the bit of half `index[k,
-    i]` times `weights[k, i]` (2**(depth-1-i) if drawn, else 0), plus
-    `ones[k]`: its diagonal, or striped's whole column."""
-    free = _draw_counts(kind, depth)[1]
-    k, i = np.arange(m)[:, None], np.arange(depth)[None, :]
+    No base-2 draw rejects: a draw on {1} takes nothing, so every diagonal
+    entry is one, and each free entry, then each shift digit, is bit 31 of
+    the next 32-bit half.  Word k sums, over rows i, the bit of half
+    `index[k, i]` times `weights[k, i]` (2**(depth-1-i) if drawn, else 0),
+    plus `ones[k]`, the weights of its entries from the diagonal."""
+    diagonal, free, source = _linear_layout(kind, depth, m)
     weight = np.uint64(1) << np.arange(depth - 1, -1, -1, dtype=np.uint64)
-    # matousek's entry (i, k) of its square block, tezuka's entry i - k of its first column
-    column = i * depth + k if kind == ScramblerKind.MATOUSEK else np.maximum(i - k - 1, 0)
-    drawn = np.vstack([(i > k) & (kind != ScramblerKind.STRIPED), i >= 0])
-    ones = 2 * weight[:m] - 1 if kind == ScramblerKind.STRIPED else weight[:m]
-    layout = (np.vstack([column, free + i]), np.where(drawn, weight, np.uint64(0)),
-              np.append(ones, np.uint64(0)))
+    source = np.vstack([source, diagonal + free + np.arange(depth)])  # the shift is all drawn
+    drawn = source >= diagonal
+    layout = (np.where(drawn, source - diagonal, 0), np.where(drawn, weight, np.uint64(0)),
+              np.where((source >= 0) & ~drawn, weight, np.uint64(0)).sum(axis=1))
     for arr in layout:
         arr.flags.writeable = False
     return (free + depth, *layout)
@@ -301,22 +290,29 @@ def _linear_codes(spec: ScramblerSpec, m: int, depth: int,
 
     a_i holds the digits of i least significant first, so the points double
     (base 2) or grow b-fold per digit: the points with digit k of i equal to
-    a add a times column k of M to the points before them.
+    a add a times column k of M to the points before them.  Both bases read
+    M's first m columns from `_linear_layout`'s table: odd bases gather the
+    drawn digits into them, and base 2 sums the drawn bits into one word per
+    column and one for the shift (`_base2_words`), with no matrix built.
     """
     base = spec.base
     if base == 2:
-        halves, index, weights, ones = _linear_layout(spec.kind, depth, m)
+        halves, index, weights, ones = _base2_words(spec.kind, depth, m)
         bits = _raw_words(rng, halves).view("<u4")[index] >> 31
         words = (bits * weights).sum(axis=1) + ones  # distinct powers of two: the sum is OR
         codes = np.full(2**m, words[m])
         for k in range(m):
             np.bitwise_xor(codes[:2**k], words[k], out=codes[2**k:2**(k + 1)])
         return codes
-    cols, shift = _linear_columns(spec, m, depth, rng)
+    diagonal, free, source = _linear_layout(spec.kind, depth, m)
+    draws = np.concatenate([rng.integers(1, base, size=diagonal, dtype=np.int64),
+                            rng.integers(0, base, size=free, dtype=np.int64)])
+    shift = rng.integers(0, base, size=depth, dtype=np.int64)
+    cols = np.where(source >= 0, draws[source], 0)
     small = np.min_scalar_type(2 * base - 2)  # holds a digit, or the sum of two
     digits = shift.astype(small)[None, :]
     for k in range(m):
-        step = (np.arange(base)[:, None] * cols[:, k]) % base  # (a * column k) mod b, (b, depth)
+        step = (np.arange(base)[:, None] * cols[k]) % base  # (a * column k) mod b, (b, depth)
         total = digits[None, :, :] + step.astype(small)[:, None, :]
         # mod b of a sum below 2b: subtracting b wraps around unless the sum is >= b
         digits = np.minimum(total, total - base).reshape(-1, depth)
@@ -358,8 +354,7 @@ def _scramble_net(pts: NetPoints, spec: ScramblerSpec, rs: RandomStream,
         u = rs.generator().random(vdc.n)
         return NetPoints(base, m, _jittered_points(vdc.strata, u), vdc.strata)
     codes = _scrambled_codes(vdc, spec, rs)
-    strata = (codes >> np.uint64(depth - m) if base == 2
-              else codes // np.uint64(base ** (depth - m))).astype(np.int64)
+    strata = (codes // np.uint64(base ** (depth - m))).astype(np.int64)
     return NetPoints(base, m, _unit(codes, base, depth), strata)
 
 

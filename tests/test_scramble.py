@@ -292,16 +292,24 @@ def test_scramblers_match_reference(kind, base, m):
 
 
 @pytest.mark.parametrize("kind", sorted(LINEAR_KINDS), ids=lambda k: k.value)
-def test_base2_linear_words_match_reference_at_every_m(kind):
-    # base-2 linear codes are summed from raw bits; the reference draws its
-    # matrix and shift through Generator.integers and never reads raw bits
-    spec = ScramblerSpec(kind)
-    for m in range(13):
-        net = van_der_corput_net(2, m)
+@pytest.mark.parametrize("base,top", [(2, 12), (3, 6), (5, 4)], ids=["2", "3", "5"])
+def test_linear_codes_match_reference_at_every_m(base, top, kind):
+    # every base reads its columns off one table of draws; base 2 sums raw
+    # bits into words, odd bases gather Generator digits.  The reference
+    # draws its matrix and shift through Generator.integers and builds the
+    # whole matrix.  Points bit for bit in base 2, digits exactly in odd bases.
+    spec = ScramblerSpec(kind, base=base)
+    for m in range(top + 1):
+        net = van_der_corput_net(base, m)
         for j in (*range(15), 2**32 + 7):
             rs = RandomStream(606, j)
-            points = _unit(_scrambled_codes(net, spec, rs), 2, spec.depth)
-            assert points.tobytes() == reference_points(net, spec, rs).tobytes(), (m, j)
+            codes = _scrambled_codes(net, spec, rs)
+            if base == 2:
+                assert (_unit(codes, 2, spec.depth).tobytes()
+                        == reference_points(net, spec, rs).tobytes()), (m, j)
+            else:
+                assert np.array_equal(_code_digits(codes, base, spec.depth),
+                                      reference_digits(net, spec, rs)), (m, j)
 
 
 def test_base2_draws_are_fixed_bits_of_the_raw_words():
