@@ -60,8 +60,8 @@ class _RunContext:
         cell = self._cells.get((kind, m), np.empty((0, len(names))))
         if count > len(cell):
             seed = derive_seed(self.master_seed, 0, _KIND_INDEX[kind], m)
-            keys = [(seed, j) for j in range(len(cell), count)]
-            new = estimates([builtin(n) for n in names], ScramblerSpec(kind, base=2), m, keys)
+            new = estimates([builtin(n) for n in names], ScramblerSpec(kind, base=2), m, seed,
+                            range(len(cell), count))
             cell = self._cells[kind, m] = np.vstack([cell, new])
         return dict(zip(names, cell[:count].T.copy()))
 
@@ -182,7 +182,7 @@ def _c7(ctx: _RunContext) -> CriterionResult:
         failures = 0
         for b, m in grid:
             seed = derive_seed(ctx.master_seed, 2, _KIND_INDEX[kind], b, m)
-            nets = scrambles(ScramblerSpec(kind, base=b), m, [(seed, j) for j in range(per_cell)])
+            nets = scrambles(ScramblerSpec(kind, base=b), m, seed, range(per_cell))
             failures += sum(not is_net(net) for net in nets)
         measured[f"failures_{kind.value}"] = failures
         measured[f"total_{kind.value}"] = per_cell * len(grid)
@@ -196,8 +196,7 @@ def _c8(ctx: _RunContext) -> CriterionResult:
     n = 2**m
     seed = derive_seed(ctx.master_seed, 1, m)
     off = np.empty((reps, n))  # within-stratum offsets n*x - i
-    nets = scrambles(ScramblerSpec(ScramblerKind.NESTED, base=2), m,
-                     [(seed, j) for j in range(reps)])
+    nets = scrambles(ScramblerSpec(ScramblerKind.NESTED, base=2), m, seed, range(reps))
     for j, net in enumerate(nets):
         off[j, net.strata] = net.points * n - net.strata
     ks_max = max(stats.ks_statistic(off[:, s], lambda u: u) for s in range(off.shape[1]))

@@ -7,7 +7,7 @@ so every estimate, comes from it.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -56,24 +56,23 @@ def q_estimate(f: IntegrandSpec, pts: NetPoints) -> float:
     return (_exact_sum(vals) if fast else math.fsum(vals.tolist())) / pts.n
 
 
-def scrambles(spec: ScramblerSpec, m: int,
-              keys: Iterable[tuple[int, int]]) -> Iterator[NetPoints]:
-    """One scramble of the (spec.base, m) van der Corput net per key.
+def scrambles(spec: ScramblerSpec, m: int, seed: int, streams: range) -> Iterator[NetPoints]:
+    """One scramble of the (spec.base, m) van der Corput net per stream id.
 
-    Key (master_seed, stream_id) draws from its own stream, so any
+    Replicate j draws from RandomStream(seed, streams[j]) alone, so any
     replicate can be reproduced on its own.
     """
     pts = van_der_corput_net(spec.base, m)
-    for seed, stream in keys:
+    for stream in streams:
         yield apply_scrambler(pts, spec, RandomStream(seed, stream))
 
 
-def estimates(fs: Sequence[IntegrandSpec], spec: ScramblerSpec, m: int,
-              keys: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Single-net estimates, shape (len(keys), len(fs)): row j averages every
-    integrand over the same scramble, the one of keys[j]."""
-    out = np.empty((len(keys), len(fs)))
-    for j, net in enumerate(scrambles(spec, m, keys)):
+def estimates(fs: Sequence[IntegrandSpec], spec: ScramblerSpec, m: int, seed: int,
+              streams: range) -> np.ndarray:
+    """Single-net estimates, shape (len(streams), len(fs)): row j averages
+    every integrand over the same scramble, that of stream streams[j]."""
+    out = np.empty((len(streams), len(fs)))
+    for j, net in enumerate(scrambles(spec, m, seed, streams)):
         out[j] = [q_estimate(f, net) for f in fs]
     return out
 
@@ -84,7 +83,7 @@ def replicate_batch(f: IntegrandSpec, spec: ScramblerSpec, m: int, r: int,
     stream (master_seed, j)."""
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    return estimates([f], spec, m, [(master_seed, j) for j in range(r)])[:, 0]
+    return estimates([f], spec, m, master_seed, range(r))[:, 0]
 
 
 def median_estimator(values: Sequence[float]) -> float:

@@ -159,8 +159,10 @@ def test_replicate_batch_deterministic():
 
 def test_replicate_batch_streams_are_replicatewise():
     # replicate j of a batch reproduces a standalone stream_id=j run, and
-    # the loop yields, for any keys, exactly the scrambles of those streams
-    keys = [(777, 9), (5, 2), (777, 0), (2**64 - 1, 2**32 + 7)]
+    # the loop yields, for any seed and range of stream ids, exactly the
+    # scrambles of those streams
+    batches = [(777, range(9, 10)), (5, range(2, 3)), (777, range(0, 1)),
+               (2**64 - 1, range(2**32 + 7, 2**32 + 8)), (5, range(3, 6))]
     for base in (2, 3):
         pts = van_der_corput_net(base, 3)
         for kind in ScramblerKind:
@@ -169,12 +171,14 @@ def test_replicate_batch_streams_are_replicatewise():
             for j in range(4):
                 alone = apply_scrambler(pts, spec, RandomStream(777, j))
                 assert batch[j] == q_estimate(builtin("f2"), alone)
-            nets = list(scrambles(spec, 3, keys))
-            assert len(nets) == len(keys)
-            for net, key in zip(nets, keys):
-                alone = apply_scrambler(pts, spec, RandomStream(*key))
-                assert net.points.tobytes() == alone.points.tobytes(), (kind, base, key)
-                assert net.strata.tobytes() == alone.strata.tobytes(), (kind, base, key)
+            for seed, streams in batches:
+                nets = list(scrambles(spec, 3, seed, streams))
+                assert len(nets) == len(streams)
+                for net, stream in zip(nets, streams):
+                    alone = apply_scrambler(pts, spec, RandomStream(seed, stream))
+                    key = (kind, base, seed, stream)
+                    assert net.points.tobytes() == alone.points.tobytes(), key
+                    assert net.strata.tobytes() == alone.strata.tobytes(), key
 
 
 def test_constant_integrand_exact():
@@ -240,8 +244,8 @@ def test_median_claim_in_odd_bases(base, ms):
     for index, kind in enumerate((ScramblerKind.NESTED, ScramblerKind.MATOUSEK)):
         errors = {f.name: [] for f in fs}
         for m in ms:
-            keys = [(derive_seed(DEFAULT_SEED, base, index, m), j) for j in range(medians * r)]
-            est = estimates(fs, ScramblerSpec(kind, base=base), m, keys)
+            seed = derive_seed(DEFAULT_SEED, base, index, m)
+            est = estimates(fs, ScramblerSpec(kind, base=base), m, seed, range(medians * r))
             for column, f in zip(est.T, fs):
                 meds = np.array([median_estimator(g) for g in column.reshape(medians, r)])
                 errors[f.name].append((base**m, float(np.median(np.abs(meds - f.exact_integral)))))

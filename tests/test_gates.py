@@ -205,8 +205,8 @@ def test_c7_fails_a_repeated_stratum(monkeypatch):
     # the first scramble of each cell with m >= 1 puts points 0 and 1 in one stratum
     real = acceptance.scrambles
 
-    def scrambles(spec, m, keys):
-        for j, net in enumerate(real(spec, m, keys)):
+    def scrambles(spec, m, seed, streams):
+        for j, net in enumerate(real(spec, m, seed, streams)):
             if j == 0 and m >= 1:
                 points, strata = net.points.copy(), net.strata.copy()
                 points[1], strata[1] = points[0], strata[0]
@@ -225,10 +225,10 @@ def _offset_scrambles(draw_offsets):
     point at (i + offsets[j, i]) / n."""
     rng = np.random.default_rng(8)
 
-    def scrambles(spec, m, keys):
+    def scrambles(spec, m, seed, streams):
         assert (spec.kind, spec.base) == (ScramblerKind.NESTED, 2)
         n, strata = 2**m, np.arange(2**m)
-        for offsets in draw_offsets(rng, (len(keys), n)):
+        for offsets in draw_offsets(rng, (len(streams), n)):
             yield NetPoints(2, m, (strata + offsets) / n, strata)
 
     return scrambles

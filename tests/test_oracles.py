@@ -50,7 +50,7 @@ def _relative_se_of_variance(est):
 @pytest.fixture(scope="module")
 def both_sides():
     fs = [builtin("f1"), builtin("f2")]
-    ours = estimates(fs, ScramblerSpec("matousek"), M, [(20251018, j) for j in range(10_000)])
+    ours = estimates(fs, ScramblerSpec("matousek"), M, 20251018, range(10_000))
     return fs, ours, _scipy_estimates(fs, 20251019, 4_000)
 
 

@@ -17,6 +17,7 @@ from scramble_reference import (
     reference_points,
 )
 
+from rqmc_median.cli import DEFAULT_SEED
 from rqmc_median.digits import default_depth
 from rqmc_median.estimators import estimates
 from rqmc_median.integrands import builtin
@@ -30,10 +31,12 @@ from rqmc_median.scramble import (
     _scrambled_codes,
     _unit,
     apply_scrambler,
+    derive_seed,
     scramble_jittered,
     scramble_linear,
     scramble_nested,
 )
+from rqmc_median.stats import ks_statistic
 
 ALL_KINDS = list(ScramblerKind)
 NESTED = ScramblerSpec(ScramblerKind.NESTED)
@@ -410,20 +413,20 @@ def test_striped_collapses_in_every_base():
             assert len(np.unique(codes % tail)) <= base
     fs = [builtin("f1"), builtin("f2")]
     for base, m in ((3, 3), (5, 2)):
-        n, keys = base**m, [(7, j) for j in range(1000)]
+        n = base**m
         for kind, low, high in (("striped", 0.0, 0.1), ("matousek", 0.5, np.inf)):
-            est = estimates(fs, ScramblerSpec(kind, base=base), m, keys)
+            est = estimates(fs, ScramblerSpec(kind, base=base), m, 7, range(1000))
             ratios = np.var(est, axis=0, ddof=1) / [f.exact_sigma2 / n**3 for f in fs]
             assert np.all((low < ratios) & (ratios < high)), (kind, base, ratios)
     # Every row part (h_1, ..., h_m) is nonzero, so no output digit is
     # constant over the net and the estimate of the integral of x is one
     # number: in base 2 the mean of depth-53 digits, (1 - 2**-53) / 2, and
     # 0.5 in odd bases, up to rounding at m = 1
-    lin, keys = builtin("linear"), [(5, j) for j in range(500)]
+    lin = builtin("linear")
     for base, ms in ((2, (1, 3, 8, 12)), (3, (1, 2, 3)), (5, (1, 2))):
         spec = ScramblerSpec(ScramblerKind.STRIPED, base=base)
         for m in ms:
-            est = estimates([lin], spec, m, keys)[:, 0]
+            est = estimates([lin], spec, m, 5, range(500))[:, 0]
             if base == 2:
                 assert np.all(est == 0.5 - 2.0**-54), (base, m)
             elif m == 1:
@@ -440,10 +443,10 @@ def _no_zero_run(m, bits=52):
     return sum(p)
 
 
-def _estimates_of_x(kind, m, count, base=2):
-    """Estimates of the integral of x from streams (5, 0..count-1)."""
-    return estimates([builtin("linear")], ScramblerSpec(kind, base=base), m,
-                     [(5, j) for j in range(count)])[:, 0]
+def _estimates_of_x(kind, m, count, base=2, seed=5):
+    """Estimates of the integral of x from streams 0..count-1 of `seed`."""
+    return estimates([builtin("linear")], ScramblerSpec(kind, base=base), m, seed,
+                     range(count))[:, 0]
 
 
 def _exact_law(kind, m):
@@ -506,3 +509,57 @@ def test_nested_estimate_of_x_is_never_exact(m):
     meds = np.median(est.reshape(1000, 15), axis=1)
     assert np.count_nonzero(est == 0.5 - 2.0**-54) == 0
     assert np.count_nonzero(meds == 0.5 - 2.0**-54) == 0
+
+
+# A per-check sqrt(N) D bound from the asymptotic Kolmogorov tail,
+# P(sqrt(N) D > x) ~ 2 exp(-2 x**2), which is 0.0010 at x = 1.95 (the
+# finite-N tail is lighter).  The law test below makes 12 such checks on
+# correct scramblers, so it fails one by chance at most 1.2 % of the time.
+_KS_BOUND = 1.95
+
+
+def _irwin_hall_cdf(s, n):
+    """P(U_1 + ... + U_n <= s) for iid uniform U_i, exactly as a Fraction:
+    the sum over k <= s of (-1)**k C(n, k) (s - k)**n, over n!."""
+    num, den = Fraction(s).as_integer_ratio()
+    total = sum((-1) ** k * math.comb(n, k) * (num - k * den) ** n
+                for k in range(num // den + 1))
+    return Fraction(total, math.factorial(n) * den**n)
+
+
+def _median_of_15_cdf(p):
+    """P(median of 15 iid draws <= s), from p = P(one draw <= s)."""
+    return sum(math.comb(15, j) * p**j * (1 - p) ** (15 - j) for j in range(8, 16))
+
+
+def _irwin_hall_distances(sums, n):
+    """sqrt(N) D of the sums against Irwin-Hall(n), and of the medians of
+    consecutive groups of 15 against their law, taken in floating point from
+    the correctly rounded F."""
+    meds = np.median(sums.reshape(-1, 15), axis=1)
+    law = lambda xs: np.array([float(_irwin_hall_cdf(x, n)) for x in xs])
+    single = ks_statistic(sums, law)
+    median = ks_statistic(meds, lambda xs: _median_of_15_cdf(law(xs)))
+    return math.sqrt(len(sums)) * single, math.sqrt(len(meds)) * median
+
+
+@pytest.mark.parametrize("m", [1, 2, 4])
+def test_nested_estimate_of_x_irwin_hall_law(m):
+    # The nested half of the claim in closed form.  Nested scrambling is
+    # distributed as jittered sampling, x_i = (i + u_i) / n with iid uniform
+    # u_i, so S = n**2 (Q - 1/2) + n/2 = u_1 + ... + u_n is Irwin-Hall(n)
+    # for f(x) = x, and a median of 15 estimates has the law
+    # G = sum over j > 7 of C(15, j) F**j (1 - F)**(15 - j).  The finite
+    # depth moves S by less than n 2**(m - 53).  S is exact in floating
+    # point: Q >= 1/4, so Q - 1/2 is exact, and S, a multiple of
+    # n**2 2**-54 in [0, n], fits in 54 - m bits.
+    # 1000 medians of 15 per cell; cell seeds derive from DEFAULT_SEED.
+    n, count = 2**m, 15 * 1000
+    for index, kind in enumerate((ScramblerKind.NESTED, ScramblerKind.JITTERED)):
+        q = _estimates_of_x(kind, m, count, seed=derive_seed(DEFAULT_SEED, index, m))
+        distances = _irwin_hall_distances(n * n * (q - 0.5) + n / 2, n)
+        assert max(distances) < _KS_BOUND, (kind, distances)
+    # the failing side: one offset shared by every stratum, S = n u
+    u = np.random.default_rng(derive_seed(DEFAULT_SEED, 2, m)).random(count)
+    distances = _irwin_hall_distances(n * u, n)
+    assert min(distances) > _KS_BOUND, distances
