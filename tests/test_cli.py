@@ -154,23 +154,26 @@ def test_module_run_executes_mode(tmp_path):
     assert run("--base", "257", "--out", str(tmp_path / "bad")).returncode == 2
 
 
-@pytest.mark.parametrize("script, args, files", [
-    ("run_histograms.py", ["--reps", "3", "--m", "2"],
-     [f"histograms/hist_{k}_{f}_m2_r{r}.csv"
-      for k in ("matousek", "nested") for f in ("f1", "f2") for r in (1, 15)]),
-    ("run_convergence.py", ["--reps", "1", "--r", "3", "--m", "2,3,4"],
-     ["convergence/convergence.csv"]),
-    ("run_variance.py", ["--reps", "3", "--m", "2"], ["variance/variance.csv"]),
-])
-def test_script_runs_at_desk_scale(tmp_path, script, args, files):
-    # each script passes only flags its mode reads, and extra flags after them
-    path = Path(__file__).resolve().parents[1] / "scripts" / script
-    proc = subprocess.run([sys.executable, str(path), *args], cwd=tmp_path, env=_env(),
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+def test_readme_paper_runs_at_desk_scale(tmp_path):
+    # README's paper runs at desk scale: flags appended after a command win,
+    # so each command writes below tmp_path the files it names under results/
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Paper runs", 1)[1].split("```\n", 2)[1]
+    commands = [line.split("#")[0].split() for line in block.splitlines()]
+    assert [c[:2] for c in commands] == [["rqmc-median", mode] for mode in
+                                         ("histogram", "histogram", "convergence", "variance")]
+    desk = {"histogram": ["--reps", "3", "--m", "2"],
+            "convergence": ["--reps", "1", "--r", "3", "--m", "2,3,4"],
+            "variance": ["--reps", "3", "--m", "2"]}
+    for _, mode, *args in commands:
+        out = tmp_path / args[args.index("--out") + 1]
+        assert main([mode, *args, *desk[mode], "--out", str(out)]) == 0
     results = tmp_path / "results"
     assert sorted(p.relative_to(results).as_posix() for p in results.rglob("*")
-                  if p.is_file()) == sorted(files)
+                  if p.is_file()) == sorted(
+        [f"histograms/hist_{k}_{f}_m2_r{r}.csv"
+         for k in ("matousek", "nested") for f in ("f1", "f2") for r in (1, 15)]
+        + ["convergence/convergence.csv", "variance/variance.csv"])
 
 
 def test_mode_help_exits_zero(capsys):
