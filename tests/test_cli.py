@@ -154,26 +154,28 @@ def test_module_run_executes_mode(tmp_path):
     assert run("--base", "257", "--out", str(tmp_path / "bad")).returncode == 2
 
 
-def test_readme_paper_runs_at_desk_scale(tmp_path):
+@pytest.mark.parametrize("mode, desk, files", [
+    ("histogram", ["--reps", "3", "--m", "2"],
+     [f"histograms/hist_{k}_{f}_m2_r{r}.csv"
+      for k in ("matousek", "nested") for f in ("f1", "f2") for r in (1, 15)]),
+    ("convergence", ["--reps", "1", "--r", "3", "--m", "2,3,4"],
+     ["convergence/convergence.csv"]),
+    ("variance", ["--reps", "3", "--m", "2"], ["variance/variance.csv"]),
+], ids=["histogram", "convergence", "variance"])
+def test_readme_paper_runs_at_desk_scale(tmp_path, mode, desk, files):
     # README's paper runs at desk scale: flags appended after a command win,
     # so each command writes below tmp_path the files it names under results/
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("Paper runs", 1)[1].split("```\n", 2)[1]
     commands = [line.split("#")[0].split() for line in block.splitlines()]
-    assert [c[:2] for c in commands] == [["rqmc-median", mode] for mode in
+    assert [c[:2] for c in commands] == [["rqmc-median", m] for m in
                                          ("histogram", "histogram", "convergence", "variance")]
-    desk = {"histogram": ["--reps", "3", "--m", "2"],
-            "convergence": ["--reps", "1", "--r", "3", "--m", "2,3,4"],
-            "variance": ["--reps", "3", "--m", "2"]}
-    for _, mode, *args in commands:
+    for _, _, *args in (c for c in commands if c[1] == mode):
         out = tmp_path / args[args.index("--out") + 1]
-        assert main([mode, *args, *desk[mode], "--out", str(out)]) == 0
+        assert main([mode, *args, *desk, "--out", str(out)]) == 0
     results = tmp_path / "results"
     assert sorted(p.relative_to(results).as_posix() for p in results.rglob("*")
-                  if p.is_file()) == sorted(
-        [f"histograms/hist_{k}_{f}_m2_r{r}.csv"
-         for k in ("matousek", "nested") for f in ("f1", "f2") for r in (1, 15)]
-        + ["convergence/convergence.csv", "variance/variance.csv"])
+                  if p.is_file()) == sorted(files)
 
 
 def test_mode_help_exits_zero(capsys):
