@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import stats
-from .estimators import estimates, scrambles
+from .estimators import estimates, median_estimator, scrambles
 from .integrands import builtin
 from .nets import is_net
 from .scramble import ScramblerKind, ScramblerSpec, derive_seed
@@ -68,7 +68,7 @@ class _RunContext:
 
 def _rescaled_median_variance(estimates: np.ndarray, reps: int, r: int,
                               f, n_points: int) -> float:
-    med = np.median(estimates[: reps * r].reshape(reps, r), axis=1)
+    med = median_estimator(estimates[: reps * r].reshape(reps, r))
     return float(np.var(stats.rescale(med, f, n_points, r), ddof=1))
 
 
@@ -163,7 +163,7 @@ def _c6(ctx: _RunContext) -> CriterionResult:
         pts_err = []
         for m in range(4, 13):
             est = ctx.estimates(kind, m, outer * r)[fname]
-            meds = np.median(est.reshape(outer, r), axis=1)
+            meds = median_estimator(est.reshape(outer, r))
             err = float(np.median(np.abs(meds - f.exact_integral)))
             pts_err.append((2**m, err))
         slope, _ = stats.fit_slope(pts_err)
@@ -218,7 +218,7 @@ def _c9(ctx: _RunContext) -> CriterionResult:
         ok = ok and abs(mass - 1.0) <= 1e-8
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=ctx.master_seed, spawn_key=(3,)))
-    sim_var = float(np.var(np.median(rng.standard_normal((1_000_000, 3)), axis=1), ddof=1))
+    sim_var = float(np.var(median_estimator(rng.standard_normal((1_000_000, 3))), ddof=1))
     quad_var = stats.median_variance(3)
     measured["sim_var_r3"] = sim_var
     measured["quad_var_r3"] = quad_var

@@ -150,9 +150,8 @@ def _plan(cfg: argparse.Namespace) -> list[_Cell]:
 def _median_estimates(cfg: argparse.Namespace, cell: _Cell) -> tuple[list[int], np.ndarray]:
     """The batch seed and the median-of-r estimate of each repetition of a cell."""
     seeds = [derive_seed(cfg.master_seed, cell.index, rep) for rep in range(cfg.repetitions)]
-    meds = [median_estimator(replicate_batch(cell.f, cell.spec, cell.m, cell.r, seed))
-            for seed in seeds]
-    return seeds, np.array(meds)
+    batches = [replicate_batch(cell.f, cell.spec, cell.m, cell.r, seed) for seed in seeds]
+    return seeds, median_estimator(np.array(batches))
 
 
 def _write(path: Path, lines: list[str]):

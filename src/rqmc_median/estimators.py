@@ -86,15 +86,12 @@ def replicate_batch(f: IntegrandSpec, spec: ScramblerSpec, m: int, r: int,
     return estimates([f], spec, m, master_seed, range(r))[:, 0]
 
 
-def median_estimator(values: Sequence[float]) -> float:
-    """Sample median; for even r, the midpoint of the two central order statistics.
-
-    The bits of float(np.median(values)), from a sorted list: a NaN gives NaN,
-    and the middle values are added onto 0.0, as numpy's mean does (-0.0 -> 0.0)."""
-    xs = sorted(values.tolist() if isinstance(values, np.ndarray) else values)
-    if not xs:
+def median_estimator(values: Sequence[float] | np.ndarray) -> float | np.ndarray:
+    """Sample median over the last axis; for even r, the midpoint of the two
+    central order statistics.  r values give a float, a (reps, r) array one
+    median per row; inf - inf and overflow in the midpoint stay silent."""
+    vals = np.asarray(values)
+    if vals.size == 0:
         raise ValueError("need at least one estimate")
-    if any(map(math.isnan, xs)):
-        return math.nan
-    k = len(xs) // 2
-    return float(xs[k] + 0.0 if len(xs) % 2 else (xs[k - 1] + (xs[k] + 0.0)) / 2)
+    with np.errstate(all="ignore"):
+        return np.median(vals, axis=-1)

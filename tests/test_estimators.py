@@ -112,39 +112,39 @@ def test_median_examples():
     assert median_estimator(np.array([0.1, 0.4, 0.6, 0.9])) == 0.5
 
 
-def _np_median_bits(values):
-    with np.errstate(all="ignore"):  # inf - inf and overflow are part of the bits
-        return np.float64(np.median(values)).tobytes()
-
-
 _TIES = [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 1e308, -1e308, 5e-324]
 
 
+def _rows(r):
+    elements = st.one_of(st.sampled_from(_TIES), st.floats(width=64))
+    return hnp.arrays(np.float64, st.tuples(st.integers(1, 6), st.just(r)), elements=elements)
+
+
 @settings(deadline=None, max_examples=300)
-@given(st.lists(st.one_of(st.sampled_from(_TIES), st.floats(width=64)), min_size=1,
-                max_size=41),
-       st.booleans())
-@example([-0.0], False)
-@example([-0.0, -0.0], True)
-@example([math.inf, -math.inf], False)
-@example([1e308, 1e308], True)
-@example([1.0, math.nan, 2.0], True)
-@example([0.5] * 101, False)
-def test_median_keeps_np_median_bits(values, as_array):
-    # odd and even sizes, ties, signed zeros, infinities and NaN: the bits
-    # of float(np.median(v)), or NaN where np.median gives NaN
-    v = np.array(values) if as_array else values
-    got, want = median_estimator(v), _np_median_bits(v)
-    if math.isnan(got):
-        assert np.isnan(np.frombuffer(want)[0])
-    else:
-        assert np.float64(got).tobytes() == want
+@given(st.integers(1, 41).flatmap(_rows))
+@example(np.array([[-0.0], [0.7]]))
+@example(np.array([[-0.0, -0.0], [math.inf, -math.inf], [1e308, 1e308]]))
+@example(np.array([[1.0, math.nan, 2.0], [-0.0, 0.0, -0.0]]))
+@example(np.array([[0.5] * 101]))
+def test_median_keeps_np_median_bits(values):
+    # odd and even r, ties, signed zeros, infinities and NaN: the median of
+    # each row of a (reps, r) array has the bits of that row's own median,
+    # or is NaN where the row's median is NaN
+    got = median_estimator(values)
+    assert got.shape == (len(values),)
+    for med, row in zip(got, values):
+        want = median_estimator(row)
+        assert isinstance(want, float)
+        if math.isnan(want):
+            assert math.isnan(med)
+        else:
+            assert np.float64(med).tobytes() == np.float64(want).tobytes()
 
 
 def test_batch_validation():
     with pytest.raises(ValueError):
         replicate_batch(builtin("f1"), SPEC, 2, 0, 1)
-    for empty in ([], np.empty(0)):
+    for empty in ([], np.empty(0), np.empty((3, 0))):
         with pytest.raises(ValueError):
             median_estimator(empty)
 
@@ -227,6 +227,25 @@ def test_nested_and_matousek_variances_nearly_identical():
     assert abs(ratio - 1.0) < 0.05
 
 
+def _claim_slopes(fs, base, ms, medians, seed_key):
+    """Log-log slope of the median absolute error of `medians` medians of
+    r = 15 against n, per (kind, integrand); the scrambles of kind number
+    `index` at m come from seed_key(index, m)."""
+    r = 15
+    slopes = {}
+    for index, kind in enumerate((ScramblerKind.NESTED, ScramblerKind.MATOUSEK)):
+        errors = {f.name: [] for f in fs}
+        for m in ms:
+            est = estimates(fs, ScramblerSpec(kind, base=base), m, seed_key(index, m),
+                            range(medians * r))
+            for column, f in zip(est.T, fs):
+                meds = median_estimator(column.reshape(medians, r))
+                errors[f.name].append((base**m, float(np.median(np.abs(meds - f.exact_integral)))))
+        for name, points in errors.items():
+            slopes[kind.value, name] = fit_slope(points)[0]
+    return slopes
+
+
 @pytest.mark.parametrize("base,ms", [(3, range(2, 7)), (5, range(1, 5))], ids=["3", "5"])
 def test_median_claim_in_odd_bases(base, ms):
     # The claim at desk scale in an odd base: the nested median's error falls
@@ -234,23 +253,10 @@ def test_median_claim_in_odd_bases(base, ms):
     # 100 medians of r = 15 per m (median absolute error, as c6 takes it).
     # Over master seeds 1-6 the nested slopes spread over -1.57 .. -1.45
     # and the matousek ones over -2.47 .. -3.72; the seed is the CLI default.
-    r, medians = 15, 100
-    fs = [builtin("f1"), builtin("f2")]
-    windows = {(ScramblerKind.NESTED, "f1"): (-1.65, -1.35),
-               (ScramblerKind.NESTED, "f2"): (-1.65, -1.35),
-               (ScramblerKind.MATOUSEK, "f1"): (-math.inf, -1.7),
-               (ScramblerKind.MATOUSEK, "f2"): (-math.inf, -2.0)}
-    slopes = {}
-    for index, kind in enumerate((ScramblerKind.NESTED, ScramblerKind.MATOUSEK)):
-        errors = {f.name: [] for f in fs}
-        for m in ms:
-            seed = derive_seed(DEFAULT_SEED, base, index, m)
-            est = estimates(fs, ScramblerSpec(kind, base=base), m, seed, range(medians * r))
-            for column, f in zip(est.T, fs):
-                meds = np.array([median_estimator(g) for g in column.reshape(medians, r)])
-                errors[f.name].append((base**m, float(np.median(np.abs(meds - f.exact_integral)))))
-        for name, points in errors.items():
-            slopes[kind, name] = fit_slope(points)[0]
+    windows = {("nested", "f1"): (-1.65, -1.35), ("nested", "f2"): (-1.65, -1.35),
+               ("matousek", "f1"): (-math.inf, -1.7), ("matousek", "f2"): (-math.inf, -2.0)}
+    slopes = _claim_slopes([builtin("f1"), builtin("f2")], base, ms, 100,
+                           lambda index, m: derive_seed(DEFAULT_SEED, base, index, m))
     for key, (lo, hi) in windows.items():
         assert lo < slopes[key] < hi, (key, slopes)
 
@@ -265,21 +271,10 @@ def test_median_claim_stops_at_a_kink():
     # step -1.00 under both, and matousek f2 minus matousek kink over
     # -2.19 .. -2.06; the seed is the CLI default.  The step's gradient
     # energy is undefined, so it is NaN and never rescaled.
-    r, medians = 15, 64
     kink = IntegrandSpec("kink", lambda x: np.abs(x - 1 / 3), 5 / 18, 1 / 12)
     step = IntegrandSpec("step", lambda x: (x < 1 / 3).astype(np.float64), 1 / 3, math.nan)
-    fs = [kink, step, builtin("f2")]
-    slopes = {}
-    for index, kind in enumerate((ScramblerKind.NESTED, ScramblerKind.MATOUSEK)):
-        errors = {f.name: [] for f in fs}
-        for m in range(4, 13):
-            seed = derive_seed(DEFAULT_SEED, index, m)
-            est = estimates(fs, ScramblerSpec(kind, base=2), m, seed, range(medians * r))
-            for column, f in zip(est.T, fs):
-                meds = np.array([median_estimator(g) for g in column.reshape(medians, r)])
-                errors[f.name].append((2**m, float(np.median(np.abs(meds - f.exact_integral)))))
-        for name, points in errors.items():
-            slopes[kind.value, name] = fit_slope(points)[0]
+    slopes = _claim_slopes([kink, step, builtin("f2")], 2, range(4, 13), 64,
+                           lambda index, m: derive_seed(DEFAULT_SEED, index, m))
     assert -1.65 < slopes["nested", "kink"] < -1.35, slopes
     assert -2.25 < slopes["matousek", "kink"] < -1.75, slopes
     assert abs(slopes["nested", "step"] + 1.0) < 0.1, slopes
