@@ -18,7 +18,7 @@ from . import stats
 from .estimators import estimates, median_estimator, scrambles
 from .integrands import builtin
 from .nets import is_net
-from .scramble import ScramblerKind, ScramblerSpec, derive_seed
+from .scramble import RandomStream, ScramblerKind, ScramblerSpec, derive_seed
 
 __all__ = ["CriterionResult", "metrics_csv", "run_acceptance"]
 
@@ -216,8 +216,7 @@ def _c9(ctx: _RunContext) -> CriterionResult:
         mass = stats.median_density_mass(r)
         measured[f"mass_defect_r{r}"] = abs(mass - 1.0)
         ok = ok and abs(mass - 1.0) <= 1e-8
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=ctx.master_seed, spawn_key=(3,)))
+    rng = RandomStream(ctx.master_seed, 3).generator()
     sim_var = float(np.var(median_estimator(rng.standard_normal((1_000_000, 3))), ddof=1))
     quad_var = stats.median_variance(3)
     measured["sim_var_r3"] = sim_var

@@ -133,18 +133,16 @@ class ScramblerSpec:
 class RandomStream:
     """One replicate's worth of randomness.
 
-    Equal (master_seed, stream_id) pairs reproduce the same draw sequence;
-    distinct stream_ids give statistically independent streams.
+    Both fields may be any nonnegative integers, with no upper bound.  Equal
+    pairs reproduce the same draws; distinct stream_ids give independent streams.
     """
 
     master_seed: int
     stream_id: int
 
     def __post_init__(self):
-        if not 0 <= self.master_seed < 1 << 64:
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
-        if self.stream_id < 0:
-            raise ValueError("stream_id must be nonnegative")
+        if self.master_seed < 0 or self.stream_id < 0:
+            raise ValueError("master_seed and stream_id must be nonnegative")
 
     def generator(self) -> np.random.Generator:
         """A freshly seeded generator positioned at the start of the stream."""

@@ -164,15 +164,15 @@ def histogram(values: Sequence[float]) -> Histogram:
 def fit_slope(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """Ordinary least squares of log10(error) on log10(n).
 
-    Returns (slope, intercept).  Exact power laws come back exactly; errors
-    must all be positive.
+    Returns (slope, intercept).  Exact power laws come back exactly; every n
+    and every error must be finite and positive.
     """
     if len(points) < 3:
         raise ValueError(f"need at least 3 points to fit a slope, got {len(points)}")
-    ns = np.array([p[0] for p in points], dtype=np.float64)
-    errs = np.array([p[1] for p in points], dtype=np.float64)
-    if np.any(errs <= 0.0):
-        raise ValueError("slope fit needs strictly positive error values")
+    ns = _finite([p[0] for p in points])
+    errs = _finite([p[1] for p in points])
+    if np.any(ns <= 0.0) or np.any(errs <= 0.0):
+        raise ValueError("slope fit needs strictly positive n and error values")
     if np.all(ns == ns[0]):
         raise ValueError("slope fit needs at least two distinct n")
     lx = np.log10(ns)

@@ -119,9 +119,8 @@ _DESK_SWEEPS = {
     ("acceptance", 2**64),
 ])
 def test_any_nonnegative_seed_runs(tmp_path, mode, seed):
-    # RandomStream takes master seeds below 2**64 only; the CLI's seed reaches
-    # it only through derive_seed, which, like criterion 9's SeedSequence,
-    # takes any nonnegative seed
+    # the CLI, derive_seed and RandomStream (criterion 9 draws through it)
+    # share one rule: any nonnegative master seed, with no upper bound
     args = _DESK_SWEEPS.get(mode, ["--criteria", "9"])
     assert main([mode, *args, "--seed", str(seed), "--out", str(tmp_path)]) == 0
 

@@ -162,7 +162,8 @@ def test_replicate_batch_streams_are_replicatewise():
     # the loop yields, for any seed and range of stream ids, exactly the
     # scrambles of those streams
     batches = [(777, range(9, 10)), (5, range(2, 3)), (777, range(0, 1)),
-               (2**64 - 1, range(2**32 + 7, 2**32 + 8)), (5, range(3, 6))]
+               (2**64 - 1, range(2**32 + 7, 2**32 + 8)), (5, range(3, 6)),
+               (2**64, range(2)), (2**128 + 1, range(3, 5))]
     for base in (2, 3):
         pts = van_der_corput_net(base, 3)
         for kind in ScramblerKind:

@@ -232,9 +232,11 @@ def test_stream_validation():
     with pytest.raises(ValueError):
         RandomStream(-1, 0)
     with pytest.raises(ValueError):
-        RandomStream(1 << 64, 0)
-    with pytest.raises(ValueError):
         RandomStream(3, -2)
+    # master seeds from 2**64 on are valid and seed numpy's generator as is
+    want = np.random.default_rng(np.random.SeedSequence(entropy=2**64 + 5, spawn_key=(3,)))
+    got = RandomStream(2**64 + 5, 3).generator().random(4)
+    assert got.tobytes() == want.random(4).tobytes()
 
 
 def test_nested_equals_jittered_in_distribution():

@@ -227,6 +227,10 @@ def test_fit_slope_validation():
         stats.fit_slope([(16, 1.0), (64, 0.5)])
     with pytest.raises(ValueError):
         stats.fit_slope([(16, 1.0), (64, 0.0), (256, 0.1)])
+    for bad in ([(1, math.nan), (2, 1.0), (4, 0.5)], [(1, math.inf), (2, 1.0), (4, 0.5)],
+                [(0, 1.0), (2, 1.0), (4, 0.5)], [(-1, 1.0), (2, 1.0), (4, 0.5)]):
+        with pytest.raises(ValueError):
+            stats.fit_slope(bad)
 
 
 def test_fit_slope_rejects_equal_n():
